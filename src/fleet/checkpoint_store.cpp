@@ -1,6 +1,8 @@
 #include "ash/fleet/checkpoint_store.h"
 
 #include <dirent.h>
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -9,9 +11,12 @@
 #include <cstring>
 #include <map>
 #include <system_error>
+#include <utility>
 
 #include "ash/util/atomic_file.h"
 #include "ash/util/crc32.h"
+#include "ash/util/le_bytes.h"
+#include "ash/util/syscall.h"
 
 namespace ash::fleet {
 
@@ -20,47 +25,34 @@ namespace {
 constexpr char kMagic[8] = {'A', 'S', 'H', 'F', 'L', 'T', '1', '\n'};
 constexpr std::size_t kHeaderSize = 40;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
+using util::get_u32;
+using util::get_u64;
+using util::put_u32;
+using util::put_u64;
+
+[[noreturn]] void fail_io(const std::string& what, const std::string& path) {
+  throw std::system_error(errno, std::generic_category(), what + " " + path);
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-std::uint32_t get_u32(std::string_view bytes, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(bytes[at + static_cast<std::size_t>(i)]);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(std::string_view bytes, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(bytes[at + static_cast<std::size_t>(i)]);
-  }
-  return v;
+/// The frame header of a payload of `size` bytes with CRC-32 `crc`.
+std::string frame_header(int shard_id, std::uint64_t sequence,
+                         std::uint64_t size, std::uint32_t crc) {
+  std::string out(kMagic, sizeof kMagic);
+  put_u32(out, kSnapshotVersion);
+  put_u32(out, static_cast<std::uint32_t>(shard_id));
+  put_u64(out, sequence);
+  put_u64(out, size);
+  put_u32(out, crc);
+  put_u32(out, util::crc32(out));  // header self-check over bytes 0..35
+  return out;
 }
 
 }  // namespace
 
 std::string frame_snapshot(int shard_id, std::uint64_t sequence,
                            std::string_view payload) {
-  std::string out;
-  out.reserve(kHeaderSize + payload.size());
-  out.append(kMagic, sizeof kMagic);
-  put_u32(out, kSnapshotVersion);
-  put_u32(out, static_cast<std::uint32_t>(shard_id));
-  put_u64(out, sequence);
-  put_u64(out, payload.size());
-  put_u32(out, util::crc32(payload));
-  put_u32(out, util::crc32(out));  // header self-check over bytes 0..35
+  std::string out = frame_header(shard_id, sequence, payload.size(),
+                                 util::crc32(payload));
   out.append(payload);
   return out;
 }
@@ -126,7 +118,36 @@ std::string CheckpointStore::save(int shard_id, std::uint64_t sequence,
   return path;
 }
 
-std::vector<std::string> CheckpointStore::shard_files(int shard_id) const {
+std::string CheckpointStore::save(
+    int shard_id, std::uint64_t sequence,
+    const std::function<void(const PayloadSink&)>& payload) const {
+  const std::string path = directory_ + "/" + file_name(shard_id, sequence);
+  util::atomic_write_file(path, [&](int fd) {
+    util::write_all(fd, std::string(kHeaderSize, '\0'), path);
+    util::Crc32 crc;
+    std::uint64_t size = 0;
+    payload([&](std::string_view piece) {
+      util::write_all(fd, piece, path);
+      crc.update(piece);
+      size += piece.size();
+    });
+    // The header needs the payload's size and CRC: patch it in last.
+    if (::lseek(fd, 0, SEEK_SET) != 0) fail_io("cannot seek", path);
+    util::write_all(fd, frame_header(shard_id, sequence, size, crc.value()),
+                    path);
+  });
+  return path;
+}
+
+std::string CheckpointStore::segment_name(int shard_id, std::uint64_t base) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "shard-%05d.seq-%010" PRIu64 ".log",
+                shard_id, base);
+  return buf;
+}
+
+std::map<std::uint64_t, std::string> CheckpointStore::list(
+    int shard_id, std::string_view suffix) const {
   // Collect by *parsed* sequence so ordering never depends on readdir
   // order; the zero-padded names sort the same way, but parsing is the
   // contract.
@@ -138,24 +159,40 @@ std::vector<std::string> CheckpointStore::shard_files(int shard_id) const {
   }
   char want_prefix[32];
   std::snprintf(want_prefix, sizeof want_prefix, "shard-%05d.seq-", shard_id);
+  const std::size_t prefix_len = std::strlen(want_prefix);
   while (dirent* e = ::readdir(d)) {
-    const std::string name = e->d_name;
-    if (name.rfind(want_prefix, 0) != 0) continue;
-    if (name.size() < 5 || name.substr(name.size() - 5) != ".ckpt") continue;
-    const std::string digits =
-        name.substr(std::strlen(want_prefix),
-                    name.size() - std::strlen(want_prefix) - 5);
+    const std::string_view name = e->d_name;
+    if (name.substr(0, prefix_len) != want_prefix) continue;
+    if (name.size() < prefix_len + suffix.size() ||
+        name.substr(name.size() - suffix.size()) != suffix) {
+      continue;
+    }
+    const std::string digits(
+        name.substr(prefix_len, name.size() - prefix_len - suffix.size()));
     if (digits.empty() ||
         digits.find_first_not_of("0123456789") != std::string::npos) {
       continue;
     }
     by_seq[std::strtoull(digits.c_str(), nullptr, 10)] =
-        directory_ + "/" + name;
+        directory_ + "/" + std::string(name);
   }
   ::closedir(d);
+  return by_seq;
+}
+
+std::vector<std::string> CheckpointStore::shard_files(int shard_id) const {
   std::vector<std::string> out;
-  out.reserve(by_seq.size());
-  for (const auto& [seq, path] : by_seq) out.push_back(path);
+  for (auto& [seq, path] : list(shard_id, ".ckpt")) {
+    out.push_back(std::move(path));
+  }
+  return out;
+}
+
+std::vector<SegmentFile> CheckpointStore::segment_files(int shard_id) const {
+  std::vector<SegmentFile> out;
+  for (auto& [base, path] : list(shard_id, ".log")) {
+    out.push_back(SegmentFile{base, std::move(path)});
+  }
   return out;
 }
 
@@ -188,10 +225,85 @@ std::optional<LoadedSnapshot> CheckpointStore::load_newest_valid(
 }
 
 void CheckpointStore::prune(int shard_id, std::size_t keep) const {
-  const std::vector<std::string> files = shard_files(shard_id);
-  if (files.size() <= keep) return;
-  for (std::size_t i = 0; i + keep < files.size(); ++i) {
-    ::unlink(files[i].c_str());
+  const std::map<std::uint64_t, std::string> snapshots =
+      list(shard_id, ".ckpt");
+  if (snapshots.empty()) return;
+  std::size_t drop = snapshots.size() > keep ? snapshots.size() - keep : 0;
+  // Segments are replayed forward from a snapshot at or below their base,
+  // so the oldest retained snapshot still needs every segment from its
+  // own sequence on.
+  std::uint64_t oldest_kept = ~std::uint64_t{0};
+  for (const auto& [seq, path] : snapshots) {
+    if (drop == 0) {
+      oldest_kept = seq;
+      break;
+    }
+    ::unlink(path.c_str());
+    --drop;
+  }
+  for (const auto& [base, path] : list(shard_id, ".log")) {
+    if (base >= oldest_kept) break;
+    ::unlink(path.c_str());
+  }
+}
+
+LogSegment CheckpointStore::open_segment(int shard_id, std::uint64_t base,
+                                         std::uint64_t valid_bytes) const {
+  std::string path = directory_ + "/" + segment_name(shard_id, base);
+  const int fd = util::retry_eintr([&] {
+    return ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+                  0644);
+  });
+  if (fd < 0) fail_io("cannot open log segment", path);
+  LogSegment segment(fd, path);
+  struct stat st{};
+  if (::fstat(fd, &st) != 0) fail_io("cannot stat log segment", path);
+  if (static_cast<std::uint64_t>(st.st_size) != valid_bytes) {
+    // Cut a torn or stale tail before anything is appended after it.
+    if (util::retry_eintr([&] {
+          return ::ftruncate(fd, static_cast<off_t>(valid_bytes));
+        }) != 0 ||
+        util::retry_eintr([&] { return ::fdatasync(fd); }) != 0) {
+      fail_io("cannot truncate log segment", path);
+    }
+  }
+  // The segment's name survives a crash from here on.
+  if (!util::sync_directory(directory_)) {
+    fail_io("cannot fsync directory", directory_);
+  }
+  return segment;
+}
+
+void CheckpointStore::remove_segment(const SegmentFile& segment) const {
+  ::unlink(segment.path.c_str());
+  if (!util::sync_directory(directory_)) {
+    fail_io("cannot fsync directory", directory_);
+  }
+}
+
+LogSegment::~LogSegment() { close(); }
+
+LogSegment::LogSegment(LogSegment&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)), path_(std::move(other.path_)) {}
+
+LogSegment& LogSegment::operator=(LogSegment&& other) noexcept {
+  if (this != &other) {
+    close();
+    fd_ = std::exchange(other.fd_, -1);
+    path_ = std::move(other.path_);
+  }
+  return *this;
+}
+
+void LogSegment::close() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+}
+
+void LogSegment::append(std::string_view record) {
+  util::write_all(fd_, record, path_);
+  if (util::retry_eintr([&] { return ::fdatasync(fd_); }) != 0) {
+    fail_io("cannot fdatasync log segment", path_);
   }
 }
 

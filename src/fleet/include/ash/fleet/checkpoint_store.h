@@ -31,12 +31,23 @@
 /// recovery map.  Sequence numbers are monotone per shard (the campaign
 /// phase index), which makes "newest" well-defined without trusting
 /// mtimes.
+///
+/// A shard may also keep append-only **log segments** next to its
+/// snapshots, named `shard-<id>.seq-<base>.log`: the records appended
+/// after the snapshot at sequence `base`.  The store only moves bytes —
+/// one `write` + `fdatasync` per append on a descriptor kept open — and
+/// the owner frames and verifies its records (the fleet service's
+/// mutation log, see service.h).  `prune` keeps every segment a retained
+/// snapshot may still need to replay forward.
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace ash::fleet {
@@ -75,6 +86,39 @@ struct LoadedSnapshot {
   int corrupt_skipped = 0;
 };
 
+/// A log segment found on disk.
+struct SegmentFile {
+  std::uint64_t base = 0;  ///< sequence of the snapshot it follows
+  std::string path;
+};
+
+/// Append handle on one open log segment; closes its descriptor when
+/// destroyed.  Obtained from CheckpointStore::open_segment.
+class LogSegment {
+ public:
+  LogSegment() = default;
+  ~LogSegment();
+  LogSegment(LogSegment&& other) noexcept;
+  LogSegment& operator=(LogSegment&& other) noexcept;
+  LogSegment(const LogSegment&) = delete;
+  LogSegment& operator=(const LogSegment&) = delete;
+
+  bool is_open() const { return fd_ >= 0; }
+
+  /// Durably append `record`: one write, then fdatasync, both before the
+  /// call returns.  Throws std::system_error on any I/O failure (the
+  /// segment may then end in a torn record, which readers cut off).
+  void append(std::string_view record);
+
+ private:
+  friend class CheckpointStore;
+  LogSegment(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
+  void close();
+
+  int fd_ = -1;
+  std::string path_;
+};
+
 /// Directory of framed snapshots, many shards per directory.
 class CheckpointStore {
  public:
@@ -88,6 +132,12 @@ class CheckpointStore {
   /// Durably persist one snapshot; returns the file path written.
   std::string save(int shard_id, std::uint64_t sequence,
                    std::string_view payload) const;
+  /// The same file from a payload emitted in pieces — `payload(sink)`
+  /// calls `sink` with consecutive pieces — so a large payload is never
+  /// held in memory whole (the frame header is written last).
+  using PayloadSink = std::function<void(std::string_view)>;
+  std::string save(int shard_id, std::uint64_t sequence,
+                   const std::function<void(const PayloadSink&)>& payload) const;
 
   /// Newest snapshot of the shard that passes verification, scanning
   /// sequence numbers downward and skipping corrupt/truncated files.
@@ -99,13 +149,33 @@ class CheckpointStore {
   std::vector<std::string> shard_files(int shard_id) const;
 
   /// Delete all but the newest `keep` snapshot files of the shard
-  /// (retention for long missions; validity is not consulted).
+  /// (retention for long missions; validity is not consulted), and every
+  /// log segment older than the oldest snapshot kept.
   void prune(int shard_id, std::size_t keep) const;
+
+  /// Log segments of one shard, ascending by base sequence.
+  std::vector<SegmentFile> segment_files(int shard_id) const;
+
+  /// Open the shard's segment `base` for appending, creating it when
+  /// absent and cutting it to its first `valid_bytes` bytes (0 starts it
+  /// empty).  The file's name and length are durable when this returns.
+  /// Throws std::system_error on I/O failure.
+  LogSegment open_segment(int shard_id, std::uint64_t base,
+                          std::uint64_t valid_bytes) const;
+
+  /// Durably delete one segment file (name gone after a directory fsync).
+  void remove_segment(const SegmentFile& segment) const;
 
   /// Canonical file name for (shard, sequence).
   static std::string file_name(int shard_id, std::uint64_t sequence);
+  /// Canonical log segment name for (shard, base sequence).
+  static std::string segment_name(int shard_id, std::uint64_t base);
 
  private:
+  /// Files of one shard ending in `suffix`, keyed by parsed sequence.
+  std::map<std::uint64_t, std::string> list(int shard_id,
+                                            std::string_view suffix) const;
+
   std::string directory_;
 };
 

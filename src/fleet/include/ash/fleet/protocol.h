@@ -174,6 +174,9 @@ enum class Status : std::uint32_t {
   kBadRequest = 2,
   kUnknownDevice = 3,
   kShuttingDown = 4,
+  /// A schedule-sleep retry whose ack has left the client's bounded
+  /// idempotency window: nothing is replayed or applied.
+  kTooOldToReplay = 5,
 };
 
 const char* to_string(Status status);

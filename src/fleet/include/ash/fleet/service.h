@@ -27,15 +27,24 @@
 ///   * the per-tick request queue is bounded: requests beyond
 ///     `max_request_queue` are shed with `Status::kOverloaded` instead of
 ///     growing memory — explicit backpressure, never silent latency;
-///   * mutations are **write-ahead**: the state snapshot (including the
-///     idempotency table) is durably saved *before* the acknowledgement is
-///     queued, so a daemon SIGKILLed between apply and ack replays the
-///     original acknowledgement bytes when the client retries — a retrying
-///     client can never double-book a window;
+///   * mutations are **write-ahead**: each newly applied mutation is one
+///     CRC-framed MutationRecord appended (write + fdatasync) to the live
+///     log segment *before* the acknowledgement is queued, so a daemon
+///     SIGKILLed between apply and ack replays the original acknowledgement
+///     bytes when the client retries — a retrying client can never
+///     double-book a window.  Every kCompactEvery records the whole state
+///     (idempotency table included) is compacted into a snapshot and a
+///     new segment begins, so a mutation costs the same however long the
+///     service has run;
+///   * idempotency is bounded: each client's last IdempotencyWindow::kWindow
+///     acks replay; a miss at or below the highest id evicted from that
+///     window is refused with Status::kTooOldToReplay and changes nothing;
 ///   * SIGTERM drains gracefully: stop accepting, answer what is queued,
 ///     flush outboxes, persist a final snapshot, exit;
-///   * restart loads the newest valid snapshot, so post-restart answers are
-///     consistent with the last acknowledged state.
+///   * restart loads the newest valid snapshot and replays the log forward
+///     from it in contiguous sequence order, cutting a torn or CRC-bad tail,
+///     so post-restart answers are consistent with the last acknowledged
+///     state.
 ///
 /// Operational tallies are published as `fleet.service.*` metrics through
 /// `ash::obs`; they are deliberately kept out of response payloads so a
@@ -43,7 +52,11 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ash/bti/closed_form.h"
@@ -66,7 +79,8 @@ namespace ash::fleet {
 struct ServiceConfig {
   /// Unix-domain socket path the daemon binds (re-created on startup).
   std::string socket_path;
-  /// Directory for durable service-state snapshots (must exist, writable).
+  /// Directory for durable service-state snapshots and log segments (must
+  /// exist, writable).
   std::string state_dir;
   /// Directory of fleet campaign snapshots the rejuvenation query ranks
   /// (typically FleetConfig::checkpoint_dir); empty disables the scan.
@@ -99,8 +113,8 @@ struct ServiceConfig {
   /// (null histogram pointers; see obs::ScopedLatencyTimer).
   bool instrument = true;
   /// When nonempty, the flight recorder persists here: at every durable
-  /// state checkpoint, periodically from the poll loop, at drain, and
-  /// best-effort from the fatal-signal handler.
+  /// write (log append or snapshot), periodically from the poll loop, at
+  /// drain, and best-effort from the fatal-signal handler.
   std::string flight_recorder_path;
   /// Ring capacity; 0 disables the recorder (record() = one branch).
   std::size_t flight_recorder_capacity = 256;
@@ -130,15 +144,106 @@ struct AppliedMutation {
   std::uint64_t windows_after = 0;
 };
 
+/// The idempotency table: per client, a hashed window of its last
+/// `kWindow` acknowledgements plus the highest request id evicted from it.
+/// Lookups are O(1) and memory is proportional to the acks held — at most
+/// kWindow per client, however long the service has run.
+class IdempotencyWindow {
+ public:
+  static constexpr std::size_t kWindow = 1024;
+
+  /// The remembered ack of (client, request), or nullptr.  The pointer is
+  /// valid until the next remember().
+  const AppliedMutation* find(std::uint64_t client_id,
+                              std::uint64_t request_id) const;
+  /// True when `request_id` is a miss at or below the highest id already
+  /// evicted from the client's window: its ack can no longer be rebuilt,
+  /// so the request must neither replay nor apply.
+  bool too_old(std::uint64_t client_id, std::uint64_t request_id) const;
+  /// Remember a newly applied mutation, evicting the client's oldest ack
+  /// once it holds more than kWindow.  The (client, request) key must be
+  /// new; throws std::runtime_error otherwise.
+  void remember(const AppliedMutation& applied);
+  /// Acks held, over all clients.
+  std::size_t entries() const { return entries_; }
+
+  /// Per client (ascending id) its acks oldest first, then its evicted
+  /// high-water mark when anything was evicted.
+  template <class Ack, class Evicted>
+  void for_each(Ack&& ack, Evicted&& evicted) const {
+    for (const auto& [client_id, client] : clients_) {
+      for (std::size_t i = 0; i < client.acks.size(); ++i) {
+        ack(client.acks[(client.oldest + i) % client.acks.size()]);
+      }
+      if (client.evicted_max) evicted(client_id, *client.evicted_max);
+    }
+  }
+  /// Restore the evicted high-water mark of one client (deserialize only).
+  void restore_evicted(std::uint64_t client_id, std::uint64_t request_id);
+
+ private:
+  /// One client's window: its acks as a ring (grown to kWindow, then
+  /// overwritten oldest-first) indexed by an open-addressing hash of the
+  /// request ids (slot = ring position + 1, 0 = empty; linear probing, at
+  /// most half full).  A flat table rather than std::unordered_map: one
+  /// allocation per client instead of one per ack, which measurably kept
+  /// the daemon's peak RSS inside its budget.
+  struct Client {
+    std::vector<AppliedMutation> acks;
+    std::size_t oldest = 0;
+    std::vector<std::uint32_t> slots;
+    std::optional<std::uint64_t> evicted_max;
+
+    /// The slot holding `request_id`, or the empty slot it would take.
+    std::size_t slot_of(std::uint64_t request_id) const;
+    void index(std::size_t position);
+    void unindex(std::uint64_t request_id);
+  };
+  std::map<std::uint64_t, Client> clients_;
+  std::size_t entries_ = 0;
+};
+
+/// One schedule-sleep mutation as the append-only log stores it: a fixed
+/// 56-byte CRC-framed binary record, every double as its raw IEEE-754
+/// bits so replay is bit-exact.
+///
+///   offset  size  field
+///        0     4  magic "ASHM"
+///        4     8  sequence (u64, little-endian; the state sequence after
+///                 this mutation)
+///       12     8  client id       20  8  request id     28  8  device id
+///       36     8  start bits      44  8  duration bits
+///       52     4  CRC-32 of bytes 0..51
+struct MutationRecord {
+  static constexpr std::size_t kBytes = 56;
+
+  std::uint64_t sequence = 0;
+  std::uint64_t client_id = 0;
+  std::uint64_t request_id = 0;
+  std::uint64_t device_id = 0;
+  Seconds start{0.0};
+  Seconds duration{0.0};
+
+  std::string encode() const;
+  /// Verify and decode exactly kBytes bytes.  Throws std::runtime_error
+  /// naming the failed check: size, magic, CRC, a device id at or beyond
+  /// `device_count`, or a non-finite time.
+  static MutationRecord decode(std::string_view bytes,
+                               std::uint64_t device_count);
+};
+
 /// The service's durable state: a pure function of (genesis config, the
 /// sequence of applied mutations).  Serializes as a line-oriented text
 /// document framed by CheckpointStore — same discipline as campaign
 /// snapshots, same newest-valid recovery.
 struct ServiceState {
+  /// Largest device count a state may hold (also caps ServiceConfig).
+  static constexpr std::uint64_t kMaxDevices = std::uint64_t{1} << 20;
+
   std::uint64_t sequence = 0;  ///< mutations applied since genesis
   Volts margin{12e-3};
   std::vector<DeviceAging> devices;
-  std::vector<AppliedMutation> applied;
+  IdempotencyWindow idempotency;
 
   /// Fresh state: per-device aging priors drawn from `seed` (device i's
   /// DeltaVth uniform in [0, 0.9 * margin] on stream derive_seed(seed, i)).
@@ -146,12 +251,25 @@ struct ServiceState {
                               std::uint64_t seed);
 
   std::string serialize() const;
-  /// Throws std::runtime_error naming the failing field on malformed
-  /// input; never yields a partially-filled state.
+  /// The same document in consecutive pieces of a few KiB each, so a
+  /// compacting snapshot streams to disk without being held whole.
+  void serialize(const std::function<void(std::string_view)>& sink) const;
+  /// Strict inverse of serialize(): every scalar key and every device line
+  /// exactly once, the declared device count capped (by kMaxDevices and by
+  /// the document's own size) before anything is allocated, finite values
+  /// and in-range ids only.  Throws std::runtime_error naming the failing
+  /// field and nothing else; never yields a partially-filled state.
   static ServiceState deserialize(std::string_view bytes);
 
+  /// Apply one mutation (the record's device id must be in range): book
+  /// its window, advance the sequence, remember the ack.  Returns the
+  /// device's window count after it.
+  std::uint64_t apply(const MutationRecord& record);
+
   const AppliedMutation* find_applied(std::uint64_t client_id,
-                                      std::uint64_t request_id) const;
+                                      std::uint64_t request_id) const {
+    return idempotency.find(client_id, request_id);
+  }
   std::uint64_t total_windows() const;
 };
 
@@ -168,7 +286,9 @@ struct ServiceStats {
   std::uint64_t responses = 0;
   std::uint64_t mutations = 0;             ///< newly applied
   std::uint64_t replays = 0;               ///< idempotent re-acks
+  std::uint64_t too_old = 0;               ///< refused kTooOldToReplay
   std::uint64_t snapshots_saved = 0;
+  std::uint64_t log_appends = 0;           ///< mutation records appended
 
   std::string render() const;
   /// Set one `prefix`-named counter per field (same integers as the
@@ -182,8 +302,14 @@ struct ServiceStats {
 /// supervisor it fronts).
 class Service {
  public:
-  /// Loads the newest valid state snapshot from `state_dir` (genesis when
-  /// none verifies) and durably persists the starting state.  Throws
+  /// Log records between two compacting snapshots.
+  static constexpr std::uint64_t kCompactEvery = 256;
+  /// Snapshots retained (each with the log segments that follow it).
+  static constexpr std::size_t kSnapshotsKept = 4;
+
+  /// Loads the newest valid state snapshot from `state_dir` and replays
+  /// the log after it (genesis when no snapshot verifies, then durably
+  /// persists the genesis snapshot).  Throws
   /// std::runtime_error on an unusable state_dir or socket path,
   /// std::invalid_argument on nonsensical tunables.
   explicit Service(ServiceConfig config);
@@ -217,10 +343,15 @@ class Service {
   };
   const Health& health() const { return health_; }
 
-  /// Mutations applied but not yet durably snapshotted (0 outside of a
-  /// write-ahead window, since save_state runs before every ack).
+  /// Mutations applied but not yet durable in a snapshot or the log (0
+  /// outside of a write-ahead window, since the log append precedes every
+  /// ack).
   std::uint64_t snapshot_lag() const {
-    return state_.sequence - last_snapshot_sequence_;
+    return state_.sequence - last_durable_sequence_;
+  }
+  /// Log records appended since the last snapshot (< kCompactEvery).
+  std::uint64_t log_records() const {
+    return state_.sequence - segment_base_;
   }
 
   const obs::FlightRecorder& flight_recorder() const { return recorder_; }
@@ -239,7 +370,17 @@ class Service {
   Frame respond_metrics(const Frame& request);
   Frame respond_profile(const Frame& request);
   Frame respond_health(const Frame& request);
+  /// Compact: durably snapshot the whole state, prune old snapshots and
+  /// segments, and start the next log segment at the current sequence.
   void save_state();
+  /// Write-ahead one mutation record to the live segment (opened on first
+  /// use), compacting once the segment holds kCompactEvery records.
+  void append_record(const MutationRecord& record);
+  /// Replay the log forward from the loaded snapshot: each segment that
+  /// starts at the sequence reached, up to its first torn, corrupt or
+  /// out-of-sequence record; segments that start anywhere else are stale
+  /// and removed.
+  void replay_log();
   /// Best-effort atomic persist of the flight recorder (no-op when
   /// unconfigured; persistence failures are swallowed — telemetry must
   /// never take the daemon down).
@@ -254,7 +395,15 @@ class Service {
   ServiceStats stats_;
   Health health_;
   obs::FlightRecorder recorder_;
-  std::uint64_t last_snapshot_sequence_ = 0;
+  std::uint64_t last_durable_sequence_ = 0;
+  /// The live log segment: records after the snapshot at segment_base_,
+  /// the first segment_bytes_ of its file verified.  Opened lazily.
+  LogSegment segment_;
+  std::uint64_t segment_base_ = 0;
+  std::uint64_t segment_bytes_ = 0;
+  /// State-health gauges (fleet.service.state.*).
+  std::uint64_t snapshot_bytes_ = 0;
+  std::uint64_t last_persist_ns_ = 0;
   /// Registered once at construction, indexed by the raw request type;
   /// the request path only ever dereferences (lock-free).
   std::array<obs::Histogram*, 21> latency_{};

@@ -10,6 +10,7 @@
 
 #include "ash/obs/metrics.h"
 #include "ash/util/crc32.h"
+#include "ash/util/le_bytes.h"
 #include "ash/util/table.h"
 
 namespace ash::fleet {
@@ -27,35 +28,10 @@ constexpr char kMagic[8] = {'A', 'S', 'H', 'F', 'L', 'T', 'Q', '1'};
   throw ProtocolError(what, violation);
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-std::uint32_t get_u32(std::string_view bytes, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) |
-        static_cast<unsigned char>(bytes[at + static_cast<std::size_t>(i)]);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(std::string_view bytes, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) |
-        static_cast<unsigned char>(bytes[at + static_cast<std::size_t>(i)]);
-  }
-  return v;
-}
+using util::get_u32;
+using util::get_u64;
+using util::put_u32;
+using util::put_u64;
 
 /// Earliest-offset validation of a (possibly partial) frame prefix.
 /// Returns the total frame size once the header is complete and valid, 0
@@ -225,6 +201,7 @@ Status parse_status_value(std::string_view v) {
   if (v == "bad-request") return Status::kBadRequest;
   if (v == "unknown-device") return Status::kUnknownDevice;
   if (v == "shutting-down") return Status::kShuttingDown;
+  if (v == "too-old-to-replay") return Status::kTooOldToReplay;
   throw ProtocolError("unknown status '" + std::string(v) + "'");
 }
 
@@ -450,6 +427,7 @@ const char* to_string(Status status) {
     case Status::kBadRequest: return "bad-request";
     case Status::kUnknownDevice: return "unknown-device";
     case Status::kShuttingDown: return "shutting-down";
+    case Status::kTooOldToReplay: return "too-old-to-replay";
   }
   return "unknown";
 }

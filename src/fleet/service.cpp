@@ -7,7 +7,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -23,6 +25,8 @@
 #include "ash/obs/trace.h"
 #include "ash/tb/experiment_runner.h"
 #include "ash/util/atomic_file.h"
+#include "ash/util/crc32.h"
+#include "ash/util/le_bytes.h"
 #include "ash/util/syscall.h"
 #include "ash/util/table.h"
 
@@ -40,6 +44,14 @@ double now_ms() {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// Host nanoseconds since `t0` (persist timing for the state gauges).
+std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
 }
 
 volatile std::sig_atomic_t g_stop = 0;
@@ -88,26 +100,210 @@ std::string errno_message(const char* what) {
 // --- ServiceState text document -----------------------------------------
 
 constexpr char kStateHeader[] = "ash-fleet-service v1";
+/// Shortest possible device line ("device 0 0\n"): a document declaring
+/// more devices than its size allows is refused before anything is sized.
+constexpr std::size_t kMinDeviceLineBytes = 11;
 
 [[noreturn]] void state_error(const std::string& detail) {
   throw std::runtime_error("service state: " + detail);
 }
 
-std::uint64_t parse_u64_token(std::istringstream& line, const char* field) {
-  std::uint64_t v = 0;
-  if (!(line >> v)) state_error(std::string("field '") + field + "' missing");
-  return v;
+/// One '\n'-terminated line's space-separated tokens, consumed in order.
+class Tokens {
+ public:
+  explicit Tokens(std::string_view line) : rest_(line) {}
+
+  std::string_view next(const char* field) {
+    const std::size_t sp = rest_.find(' ');
+    const std::string_view tok = rest_.substr(0, sp);
+    rest_ = sp == std::string_view::npos ? std::string_view{}
+                                         : rest_.substr(sp + 1);
+    if (tok.empty()) state_error(std::string("field '") + field + "' missing");
+    return tok;
+  }
+  std::uint64_t u64(const char* field) {
+    const std::string_view tok = next(field);
+    std::uint64_t v = 0;
+    const auto [ptr, ec] =
+        std::from_chars(tok.data(), tok.data() + tok.size(), v);
+    if (ec != std::errc() || ptr != tok.data() + tok.size()) {
+      state_error(std::string("field '") + field + "' not an unsigned integer");
+    }
+    return v;
+  }
+  double finite(const char* field) {
+    const std::string_view tok = next(field);
+    double v = 0.0;
+    const auto [ptr, ec] =
+        std::from_chars(tok.data(), tok.data() + tok.size(), v);
+    if (ec != std::errc() || ptr != tok.data() + tok.size() ||
+        !std::isfinite(v)) {
+      state_error(std::string("field '") + field + "' not a finite number");
+    }
+    return v;
+  }
+  void end(std::string_view tag) const {
+    if (!rest_.empty()) {
+      state_error("trailing tokens on '" + std::string(tag) + "' line");
+    }
+  }
+
+ private:
+  std::string_view rest_;
+};
+
+// --- Mutation log record ----------------------------------------------------
+
+constexpr char kRecordMagic[4] = {'A', 'S', 'H', 'M'};
+constexpr std::size_t kRecordCrcAt = MutationRecord::kBytes - 4;
+
+[[noreturn]] void record_error(const std::string& detail) {
+  throw std::runtime_error("mutation record: " + detail);
 }
 
-double parse_double_token(std::istringstream& line, const char* field) {
-  double v = 0.0;
-  if (!(line >> v) || !std::isfinite(v)) {
-    state_error(std::string("field '") + field + "' not a finite number");
-  }
-  return v;
+/// splitmix64's finalizer: request ids are often sequential, and linear
+/// probing needs them spread.
+std::uint64_t mix(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
 }
 
 }  // namespace
+
+// --- IdempotencyWindow -----------------------------------------------------
+
+std::size_t IdempotencyWindow::Client::slot_of(
+    std::uint64_t request_id) const {
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t i = mix(request_id) & mask;; i = (i + 1) & mask) {
+    if (slots[i] == 0 || acks[slots[i] - 1].request_id == request_id) {
+      return i;
+    }
+  }
+}
+
+void IdempotencyWindow::Client::index(std::size_t position) {
+  slots[slot_of(acks[position].request_id)] =
+      static_cast<std::uint32_t>(position + 1);
+}
+
+void IdempotencyWindow::Client::unindex(std::uint64_t request_id) {
+  // Backward-shift deletion keeps every probe chain gap-free without
+  // tombstones, so a long-lived window never degrades.
+  const std::size_t mask = slots.size() - 1;
+  std::size_t hole = slot_of(request_id);
+  slots[hole] = 0;
+  for (std::size_t i = (hole + 1) & mask; slots[i] != 0; i = (i + 1) & mask) {
+    const std::size_t home = mix(acks[slots[i] - 1].request_id) & mask;
+    if (((i - home) & mask) >= ((i - hole) & mask)) {
+      slots[hole] = slots[i];
+      slots[i] = 0;
+      hole = i;
+    }
+  }
+}
+
+const AppliedMutation* IdempotencyWindow::find(std::uint64_t client_id,
+                                               std::uint64_t request_id) const {
+  const auto it = clients_.find(client_id);
+  if (it == clients_.end() || it->second.slots.empty()) return nullptr;
+  const Client& client = it->second;
+  const std::uint32_t slot = client.slots[client.slot_of(request_id)];
+  return slot == 0 ? nullptr : &client.acks[slot - 1];
+}
+
+bool IdempotencyWindow::too_old(std::uint64_t client_id,
+                                std::uint64_t request_id) const {
+  const auto it = clients_.find(client_id);
+  if (it == clients_.end() || !it->second.evicted_max) return false;
+  return request_id <= *it->second.evicted_max &&
+         find(client_id, request_id) == nullptr;
+}
+
+void IdempotencyWindow::remember(const AppliedMutation& applied) {
+  if (find(applied.client_id, applied.request_id) != nullptr) {
+    state_error(strformat("idempotency key (%llu, %llu) repeated",
+                          static_cast<unsigned long long>(applied.client_id),
+                          static_cast<unsigned long long>(applied.request_id)));
+  }
+  Client& client = clients_[applied.client_id];
+  if (client.acks.size() < kWindow) {
+    if ((client.acks.size() + 1) * 2 > client.slots.size()) {
+      // Keep the table at most half full: double it and re-index.
+      client.slots.assign(std::max<std::size_t>(16, 2 * client.slots.size()),
+                          0);
+      for (std::size_t p = 0; p < client.acks.size(); ++p) client.index(p);
+    }
+    client.acks.push_back(applied);
+    client.index(client.acks.size() - 1);
+    ++entries_;
+    return;
+  }
+  // Full: the oldest ack leaves the window and its ring slot takes the new
+  // one.
+  AppliedMutation& oldest = client.acks[client.oldest];
+  client.unindex(oldest.request_id);
+  client.evicted_max =
+      std::max(client.evicted_max.value_or(0), oldest.request_id);
+  oldest = applied;
+  client.index(client.oldest);
+  client.oldest = (client.oldest + 1) % kWindow;
+}
+
+void IdempotencyWindow::restore_evicted(std::uint64_t client_id,
+                                        std::uint64_t request_id) {
+  Client& client = clients_[client_id];
+  if (client.evicted_max) state_error("repeated 'evicted' line for a client");
+  client.evicted_max = request_id;
+}
+
+// --- MutationRecord --------------------------------------------------------
+
+std::string MutationRecord::encode() const {
+  std::string out;
+  out.reserve(kBytes);
+  out.append(kRecordMagic, sizeof kRecordMagic);
+  util::put_u64(out, sequence);
+  util::put_u64(out, client_id);
+  util::put_u64(out, request_id);
+  util::put_u64(out, device_id);
+  util::put_u64(out, std::bit_cast<std::uint64_t>(start.value()));
+  util::put_u64(out, std::bit_cast<std::uint64_t>(duration.value()));
+  util::put_u32(out, util::crc32(out));
+  return out;
+}
+
+MutationRecord MutationRecord::decode(std::string_view bytes,
+                                      std::uint64_t device_count) {
+  if (bytes.size() != kBytes) {
+    record_error(strformat("%zu bytes, a record is %zu", bytes.size(),
+                           kBytes));
+  }
+  if (bytes.substr(0, sizeof kRecordMagic) !=
+      std::string_view(kRecordMagic, sizeof kRecordMagic)) {
+    record_error("bad magic");
+  }
+  if (util::crc32(bytes.substr(0, kRecordCrcAt)) !=
+      util::get_u32(bytes, kRecordCrcAt)) {
+    record_error("CRC mismatch (torn or corrupt)");
+  }
+  MutationRecord out;
+  out.sequence = util::get_u64(bytes, 4);
+  out.client_id = util::get_u64(bytes, 12);
+  out.request_id = util::get_u64(bytes, 20);
+  out.device_id = util::get_u64(bytes, 28);
+  out.start = Seconds{std::bit_cast<double>(util::get_u64(bytes, 36))};
+  out.duration = Seconds{std::bit_cast<double>(util::get_u64(bytes, 44))};
+  if (out.device_id >= device_count) record_error("device id out of range");
+  if (!std::isfinite(out.start.value()) ||
+      !std::isfinite(out.duration.value())) {
+    record_error("window time not finite");
+  }
+  return out;
+}
+
+// --- ServiceState ------------------------------------------------------------
 
 ServiceState ServiceState::genesis(std::uint64_t device_count, Volts margin,
                                    std::uint64_t seed) {
@@ -123,94 +319,157 @@ ServiceState ServiceState::genesis(std::uint64_t device_count, Volts margin,
   return state;
 }
 
-std::string ServiceState::serialize() const {
-  std::string out = kStateHeader;
-  out += '\n';
-  out += strformat("sequence %llu\n",
-                   static_cast<unsigned long long>(sequence));
-  out += strformat("margin_v %.17g\n", margin.value());
-  out += strformat("devices %llu\n",
-                   static_cast<unsigned long long>(devices.size()));
+void ServiceState::serialize(
+    const std::function<void(std::string_view)>& sink) const {
+  constexpr std::size_t kPiece = 16 * 1024;
+  std::string piece;
+  const auto line = [&](const std::string& text) {
+    piece += text;
+    if (piece.size() >= kPiece) {
+      sink(piece);
+      piece.clear();
+    }
+  };
+  line(std::string(kStateHeader) + "\n");
+  line(strformat("sequence %llu\n", static_cast<unsigned long long>(sequence)));
+  line(strformat("margin_v %.17g\n", margin.value()));
+  line(strformat("devices %llu\n",
+                 static_cast<unsigned long long>(devices.size())));
   for (std::size_t i = 0; i < devices.size(); ++i) {
-    out += strformat("device %llu %.17g\n",
-                     static_cast<unsigned long long>(i),
-                     devices[i].delta_vth.value());
+    line(strformat("device %llu %.17g\n", static_cast<unsigned long long>(i),
+                   devices[i].delta_vth.value()));
     for (const SleepWindow& w : devices[i].windows) {
-      out += strformat("window %llu %.17g %.17g\n",
-                       static_cast<unsigned long long>(i), w.start.value(),
-                       w.duration.value());
+      line(strformat("window %llu %.17g %.17g\n",
+                     static_cast<unsigned long long>(i), w.start.value(),
+                     w.duration.value()));
     }
   }
-  for (const AppliedMutation& m : applied) {
-    out += strformat("applied %llu %llu %llu\n",
-                     static_cast<unsigned long long>(m.client_id),
-                     static_cast<unsigned long long>(m.request_id),
-                     static_cast<unsigned long long>(m.windows_after));
-  }
-  out += "end\n";
+  idempotency.for_each(
+      [&](const AppliedMutation& m) {
+        line(strformat("applied %llu %llu %llu\n",
+                       static_cast<unsigned long long>(m.client_id),
+                       static_cast<unsigned long long>(m.request_id),
+                       static_cast<unsigned long long>(m.windows_after)));
+      },
+      [&](std::uint64_t client_id, std::uint64_t request_id) {
+        line(strformat("evicted %llu %llu\n",
+                       static_cast<unsigned long long>(client_id),
+                       static_cast<unsigned long long>(request_id)));
+      });
+  line("end\n");
+  sink(piece);
+}
+
+std::string ServiceState::serialize() const {
+  std::string out;
+  serialize([&](std::string_view piece) { out.append(piece); });
   return out;
 }
 
 ServiceState ServiceState::deserialize(std::string_view bytes) {
-  std::istringstream is{std::string(bytes)};
-  std::string line;
-  if (!std::getline(is, line) || line != kStateHeader) {
-    state_error("bad header '" + line + "'");
-  }
   ServiceState state;
   bool have_sequence = false, have_margin = false, have_devices = false,
-       ended = false;
-  while (std::getline(is, line)) {
+       ended = false, header = false;
+  std::vector<bool> device_seen;
+  std::uint64_t devices_seen = 0;
+  while (!bytes.empty()) {
+    const std::size_t nl = bytes.find('\n');
+    if (nl == std::string_view::npos) {
+      state_error("unterminated last line (truncated document)");
+    }
+    const std::string_view line = bytes.substr(0, nl);
+    bytes.remove_prefix(nl + 1);
+    if (!header) {
+      if (line != kStateHeader) {
+        state_error("bad header '" + std::string(line.substr(0, 64)) + "'");
+      }
+      header = true;
+      continue;
+    }
     if (ended) state_error("content after 'end'");
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
+    Tokens tok(line);
+    const std::string_view tag = tok.next("line tag");
+    const auto once = [](bool& seen, const char* key) {
+      if (seen) state_error(std::string("repeated key '") + key + "'");
+      seen = true;
+    };
+    const auto need_devices = [&] {
+      if (!have_devices) state_error("device data before 'devices'");
+    };
     if (tag == "sequence") {
-      state.sequence = parse_u64_token(ls, "sequence");
-      have_sequence = true;
+      once(have_sequence, "sequence");
+      state.sequence = tok.u64("sequence");
     } else if (tag == "margin_v") {
-      state.margin = Volts{parse_double_token(ls, "margin_v")};
-      have_margin = true;
+      once(have_margin, "margin_v");
+      state.margin = Volts{tok.finite("margin_v")};
     } else if (tag == "devices") {
-      state.devices.resize(parse_u64_token(ls, "devices"));
-      have_devices = true;
+      once(have_devices, "devices");
+      const std::uint64_t n = tok.u64("devices");
+      // Cap before the resize: a hostile count must never size memory.
+      if (n > kMaxDevices || n > bytes.size() / kMinDeviceLineBytes) {
+        state_error(strformat(
+            "declared device count %llu exceeds the cap (%llu, or what "
+            "%zu remaining bytes can hold)",
+            static_cast<unsigned long long>(n),
+            static_cast<unsigned long long>(kMaxDevices), bytes.size()));
+      }
+      state.devices.resize(n);
+      device_seen.assign(n, false);
     } else if (tag == "device") {
-      const std::uint64_t id = parse_u64_token(ls, "device id");
+      need_devices();
+      const std::uint64_t id = tok.u64("device id");
       if (id >= state.devices.size()) state_error("device id out of range");
-      state.devices[id].delta_vth =
-          Volts{parse_double_token(ls, "device delta_vth")};
+      if (device_seen[id]) state_error("repeated key 'device " +
+                                       std::to_string(id) + "'");
+      device_seen[id] = true;
+      ++devices_seen;
+      state.devices[id].delta_vth = Volts{tok.finite("device delta_vth")};
     } else if (tag == "window") {
-      const std::uint64_t id = parse_u64_token(ls, "window device");
+      need_devices();
+      const std::uint64_t id = tok.u64("window device");
       if (id >= state.devices.size()) state_error("window device out of range");
       SleepWindow w;
-      w.start = Seconds{parse_double_token(ls, "window start")};
-      w.duration = Seconds{parse_double_token(ls, "window duration")};
+      w.start = Seconds{tok.finite("window start")};
+      w.duration = Seconds{tok.finite("window duration")};
       state.devices[id].windows.push_back(w);
     } else if (tag == "applied") {
       AppliedMutation m;
-      m.client_id = parse_u64_token(ls, "applied client");
-      m.request_id = parse_u64_token(ls, "applied request");
-      m.windows_after = parse_u64_token(ls, "applied windows");
-      state.applied.push_back(m);
+      m.client_id = tok.u64("applied client");
+      m.request_id = tok.u64("applied request");
+      m.windows_after = tok.u64("applied windows");
+      state.idempotency.remember(m);
+    } else if (tag == "evicted") {
+      const std::uint64_t client = tok.u64("evicted client");
+      state.idempotency.restore_evicted(client, tok.u64("evicted request"));
     } else if (tag == "end") {
       ended = true;
     } else {
-      state_error("unknown line tag '" + tag + "'");
+      state_error("unknown line tag '" + std::string(tag.substr(0, 64)) + "'");
     }
+    tok.end(tag);
   }
+  if (!header) state_error("empty document");
   if (!ended) state_error("missing 'end' (truncated document)");
-  if (!have_sequence || !have_margin || !have_devices) {
-    state_error("missing required field");
+  if (!have_sequence) state_error("missing key 'sequence'");
+  if (!have_margin) state_error("missing key 'margin_v'");
+  if (!have_devices) state_error("missing key 'devices'");
+  if (devices_seen != state.devices.size()) {
+    state_error(strformat("%llu of %zu device lines missing",
+                          static_cast<unsigned long long>(
+                              state.devices.size() - devices_seen),
+                          state.devices.size()));
   }
   return state;
 }
 
-const AppliedMutation* ServiceState::find_applied(
-    std::uint64_t client_id, std::uint64_t request_id) const {
-  for (const AppliedMutation& m : applied) {
-    if (m.client_id == client_id && m.request_id == request_id) return &m;
-  }
-  return nullptr;
+std::uint64_t ServiceState::apply(const MutationRecord& record) {
+  DeviceAging& device = devices[record.device_id];
+  const std::uint64_t windows_after = device.windows.size() + 1;
+  idempotency.remember(
+      AppliedMutation{record.client_id, record.request_id, windows_after});
+  device.windows.push_back(SleepWindow{record.start, record.duration});
+  ++sequence;
+  return windows_after;
 }
 
 std::uint64_t ServiceState::total_windows() const {
@@ -235,11 +494,14 @@ std::string ServiceStats::render() const {
                    static_cast<unsigned long long>(shed));
   out += strformat("  responses              %llu\n",
                    static_cast<unsigned long long>(responses));
-  out += strformat("  mutations              %llu (replayed %llu)\n",
+  out += strformat("  mutations              %llu (replayed %llu, "
+                   "too old %llu)\n",
                    static_cast<unsigned long long>(mutations),
-                   static_cast<unsigned long long>(replays));
-  out += strformat("  snapshots saved        %llu\n",
-                   static_cast<unsigned long long>(snapshots_saved));
+                   static_cast<unsigned long long>(replays),
+                   static_cast<unsigned long long>(too_old));
+  out += strformat("  snapshots saved        %llu (log appends %llu)\n",
+                   static_cast<unsigned long long>(snapshots_saved),
+                   static_cast<unsigned long long>(log_appends));
   return out;
 }
 
@@ -254,7 +516,9 @@ void ServiceStats::publish(obs::Registry& registry,
   registry.counter(prefix + "responses").set(responses);
   registry.counter(prefix + "mutations").set(mutations);
   registry.counter(prefix + "replays").set(replays);
+  registry.counter(prefix + "too_old").set(too_old);
   registry.counter(prefix + "snapshots_saved").set(snapshots_saved);
+  registry.counter(prefix + "log_appends").set(log_appends);
 }
 
 // --- Service -------------------------------------------------------------
@@ -264,8 +528,9 @@ Service::Service(ServiceConfig config)
       state_store_(config_.state_dir),
       model_(config_.physics),
       recorder_(config_.flight_recorder_capacity) {
-  if (config_.devices < 1) {
-    throw std::invalid_argument("service: need at least one device");
+  if (config_.devices < 1 || config_.devices > ServiceState::kMaxDevices) {
+    throw std::invalid_argument("service: device count outside 1.." +
+                                std::to_string(ServiceState::kMaxDevices));
   }
   if (config_.max_request_queue < 1 || config_.max_connections < 1 ||
       config_.io_timeout_ms < 1 || config_.poll_interval_ms < 1) {
@@ -303,35 +568,112 @@ Service::Service(ServiceConfig config)
   const auto loaded = state_store_.load_newest_valid(kStateShard);
   if (loaded) {
     // Resume exactly where the last acknowledged mutation left us — the
-    // crash-consistency half of the protocol contract.
+    // crash-consistency half of the protocol contract: the newest valid
+    // snapshot, then the log records appended after it.
     state_ = ServiceState::deserialize(loaded->payload);
-    last_snapshot_sequence_ = state_.sequence;
+    snapshot_bytes_ = loaded->payload.size();
+    segment_base_ = state_.sequence;
+    replay_log();
+    last_durable_sequence_ = state_.sequence;
   } else {
     state_ = ServiceState::genesis(config_.devices, config_.margin,
                                    config_.seed);
   }
   recorder_.record(obs::FlightEventKind::kDaemonStart, state_.sequence);
   if (loaded) {
-    recorder_.record(obs::FlightEventKind::kStateLoaded, state_.sequence);
+    recorder_.record(obs::FlightEventKind::kStateLoaded, state_.sequence,
+                     log_records());
+    if (log_records() >= kCompactEvery) save_state();
   } else {
     recorder_.record(obs::FlightEventKind::kStateGenesis);
     save_state();
   }
 }
 
+void Service::replay_log() {
+  for (const SegmentFile& segment : state_store_.segment_files(kStateShard)) {
+    if (segment.base < segment_base_) continue;  // before the snapshot
+    if (segment.base != state_.sequence) {
+      // Not where recovery reached: stale, and a segment started at this
+      // base later must begin empty — so it goes now, durably.
+      state_store_.remove_segment(segment);
+      continue;
+    }
+    std::string bytes;
+    try {
+      bytes = util::read_file(segment.path);
+    } catch (const std::system_error&) {
+      // Unreadable counts as empty: the segment is cut at byte 0.
+    }
+    const std::string_view view(bytes);
+    std::size_t valid = 0;
+    for (; valid + MutationRecord::kBytes <= view.size();
+         valid += MutationRecord::kBytes) {
+      MutationRecord record;
+      try {
+        record = MutationRecord::decode(
+            view.substr(valid, MutationRecord::kBytes), state_.devices.size());
+      } catch (const std::runtime_error&) {
+        break;  // CRC-bad or invalid record: the tail starts here
+      }
+      // Only the next sequence number of a key never acked before extends
+      // the state; anything else is a stale or corrupt tail.
+      if (record.sequence != state_.sequence + 1 ||
+          state_.find_applied(record.client_id, record.request_id) !=
+              nullptr ||
+          state_.idempotency.too_old(record.client_id, record.request_id)) {
+        break;
+      }
+      state_.apply(record);
+    }
+    segment_base_ = segment.base;
+    segment_bytes_ = valid;
+  }
+}
+
 void Service::save_state() {
-  const std::string payload = state_.serialize();
-  state_store_.save(kStateShard, state_.sequence, payload);
-  state_store_.prune(kStateShard, 16);
+  const auto t0 = config_.instrument ? std::chrono::steady_clock::now()
+                                     : std::chrono::steady_clock::time_point{};
+  // Streamed in pieces: the whole document is never held in memory, which
+  // keeps compaction inside the daemon's memory budget.
+  std::uint64_t payload_bytes = 0;
+  state_store_.save(kStateShard, state_.sequence,
+                    [&](const CheckpointStore::PayloadSink& sink) {
+                      state_.serialize([&](std::string_view piece) {
+                        payload_bytes += piece.size();
+                        sink(piece);
+                      });
+                    });
+  state_store_.prune(kStateShard, kSnapshotsKept);
+  // The next segment follows this snapshot; it is created (empty) by the
+  // first append after it.
+  segment_ = LogSegment{};
+  segment_base_ = state_.sequence;
+  segment_bytes_ = 0;
   ++stats_.snapshots_saved;
-  last_snapshot_sequence_ = state_.sequence;
+  last_durable_sequence_ = state_.sequence;
+  snapshot_bytes_ = payload_bytes;
+  if (config_.instrument) last_persist_ns_ = elapsed_ns(t0);
   recorder_.record(obs::FlightEventKind::kSnapshotSaved, state_.sequence,
-                   payload.size());
+                   snapshot_bytes_);
   if (obs::tracing()) {
     obs::instant(obs::EventKind::kFleetSnapshot, "state", "fleet.service",
                  {{"sequence", std::to_string(state_.sequence)}});
   }
   persist_flight();
+}
+
+void Service::append_record(const MutationRecord& record) {
+  const auto t0 = config_.instrument ? std::chrono::steady_clock::now()
+                                     : std::chrono::steady_clock::time_point{};
+  if (!segment_.is_open()) {
+    segment_ = state_store_.open_segment(kStateShard, segment_base_,
+                                         segment_bytes_);
+  }
+  segment_.append(record.encode());
+  segment_bytes_ += MutationRecord::kBytes;
+  ++stats_.log_appends;
+  if (config_.instrument) last_persist_ns_ = elapsed_ns(t0);
 }
 
 void Service::persist_flight() {
@@ -351,6 +693,14 @@ obs::Histogram* Service::latency_histogram(MessageType type) const {
 
 void Service::publish_volatile(obs::Registry& registry) const {
   stats_.publish(registry);
+  registry.gauge("fleet.service.state.log_records")
+      .set(static_cast<double>(log_records()));
+  registry.gauge("fleet.service.state.snapshot_bytes")
+      .set(static_cast<double>(snapshot_bytes_));
+  registry.gauge("fleet.service.state.idempotency_entries")
+      .set(static_cast<double>(state_.idempotency.entries()));
+  registry.gauge("fleet.service.state.last_persist_ns")
+      .set(static_cast<double>(last_persist_ns_));
   protocol_tallies().publish(registry);
   registry.counter("fleet.service.health.poll_iterations")
       .set(health_.poll_iterations);
@@ -543,6 +893,21 @@ Frame Service::respond_schedule_sleep(const Frame& request) {
                      request.request_id);
     return ack(m->windows_after);
   }
+  if (state_.idempotency.too_old(req.client_id, request.request_id)) {
+    // Its ack left the window: neither replay (unknown bytes) nor apply
+    // (it may have been applied once already).
+    ++stats_.too_old;
+    ErrorResponse err;
+    err.status = Status::kTooOldToReplay;
+    err.message = strformat(
+        "request %llu of client %llu is at or below the newest id evicted "
+        "from its idempotency window (last %zu acks)",
+        static_cast<unsigned long long>(request.request_id),
+        static_cast<unsigned long long>(req.client_id),
+        IdempotencyWindow::kWindow);
+    return Frame{MessageType::kErrorResponse, request.request_id,
+                 err.encode()};
+  }
   if (req.device_id >= state_.devices.size()) {
     ErrorResponse err;
     err.status = Status::kUnknownDevice;
@@ -553,11 +918,19 @@ Frame Service::respond_schedule_sleep(const Frame& request) {
     return Frame{MessageType::kErrorResponse, request.request_id,
                  err.encode()};
   }
-  DeviceAging& device = state_.devices[req.device_id];
-  device.windows.push_back(SleepWindow{req.start, req.duration});
-  ++state_.sequence;
-  state_.applied.push_back(AppliedMutation{req.client_id, request.request_id,
-                                           device.windows.size()});
+  MutationRecord record;
+  record.sequence = state_.sequence + 1;
+  record.client_id = req.client_id;
+  record.request_id = request.request_id;
+  record.device_id = req.device_id;
+  record.start = req.start;
+  record.duration = req.duration;
+  // Write-ahead: the record is durable *before* the state changes and the
+  // ack is queued, so a SIGKILL in between replays the same ack instead of
+  // double-applying.
+  append_record(record);
+  const std::uint64_t windows_after = state_.apply(record);
+  last_durable_sequence_ = state_.sequence;
   recorder_.record(obs::FlightEventKind::kMutationApplied, req.device_id,
                    state_.sequence);
   if (obs::tracing()) {
@@ -567,11 +940,13 @@ Frame Service::respond_schedule_sleep(const Frame& request) {
                   {"request_id", std::to_string(request.request_id)},
                   {"device", std::to_string(req.device_id)}});
   }
-  // Write-ahead: the mutation is durable *before* the ack is queued, so a
-  // SIGKILL in between replays the same ack instead of double-applying.
-  save_state();
+  if (log_records() >= kCompactEvery) {
+    save_state();  // compaction persists the flight recorder too
+  } else {
+    persist_flight();
+  }
   ++stats_.mutations;
-  return ack(device.windows.size());
+  return ack(windows_after);
 }
 
 Frame Service::respond_status(const Frame& request) {

@@ -38,7 +38,9 @@ namespace ash::obs {
 enum class FlightEventKind : std::uint32_t {
   kDaemonStart = 0,      ///< service constructed (a = resumed sequence)
   kStateGenesis,         ///< no snapshot verified; fresh genesis state
-  kStateLoaded,          ///< resumed from a durable snapshot (a = sequence)
+  kStateLoaded,          ///< resumed from a durable snapshot and its log
+                         ///< (a = sequence, b = log records replayed past
+                         ///< the last snapshot)
   kSnapshotSaved,        ///< durable state written (a = sequence, b = bytes)
   kConnectionAccepted,   ///< a = live connection count after accept
   kConnectionRejected,   ///< over the connection cap

@@ -8,6 +8,8 @@
 #include <string>
 #include <system_error>
 
+#include "ash/util/syscall.h"
+
 namespace ash::util {
 
 namespace {
@@ -37,7 +39,9 @@ class Fd {
   int fd_;
 };
 
-void write_all(int fd, const std::string& bytes, const std::string& path) {
+}  // namespace
+
+void write_all(int fd, std::string_view bytes, const std::string& path) {
   std::size_t off = 0;
   while (off < bytes.size()) {
     const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
@@ -49,7 +53,11 @@ void write_all(int fd, const std::string& bytes, const std::string& path) {
   }
 }
 
-}  // namespace
+bool sync_directory(const std::string& dir) {
+  Fd dfd(::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC));
+  if (dfd.get() < 0) return false;
+  return retry_eintr([&] { return ::fsync(dfd.get()); }) == 0;
+}
 
 std::string dirname_of(const std::string& path) {
   const auto slash = path.find_last_of('/');
@@ -63,14 +71,18 @@ bool writable_directory(const std::string& path) {
 }
 
 void atomic_write_file(const std::string& path, const std::string& bytes) {
-  const std::string dir = dirname_of(path);
+  atomic_write_file(path, [&](int fd) { write_all(fd, bytes, path); });
+}
+
+void atomic_write_file(const std::string& path,
+                       const std::function<void(int fd)>& write_body) {
   const std::string tmp =
       path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
 
   Fd fd(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
   if (fd.get() < 0) fail("cannot create", tmp);
   try {
-    write_all(fd.get(), bytes, tmp);
+    write_body(fd.get());
     if (::fsync(fd.get()) != 0) fail("cannot fsync", tmp);
     if (fd.close_now() != 0) fail("cannot close", tmp);
     if (::rename(tmp.c_str(), path.c_str()) != 0) fail("cannot rename", path);
@@ -81,8 +93,7 @@ void atomic_write_file(const std::string& path, const std::string& bytes) {
 
   // Persist the rename itself: without the directory fsync a crash can
   // forget that the new name exists even though its data blocks are safe.
-  Fd dfd(::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC));
-  if (dfd.get() >= 0) (void)::fsync(dfd.get());
+  (void)sync_directory(dirname_of(path));
 }
 
 std::string read_file(const std::string& path) {

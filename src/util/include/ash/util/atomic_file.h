@@ -20,13 +20,31 @@
 /// path; a failed write unlinks its temp file, so aborted attempts leave
 /// no debris for directory scans to trip over.
 
+#include <functional>
 #include <string>
+#include <string_view>
 
 namespace ash::util {
 
 /// Atomically replace (or create) `path` with `bytes`.  Throws
 /// std::system_error on any I/O failure; on failure `path` is untouched.
 void atomic_write_file(const std::string& path, const std::string& bytes);
+
+/// The streaming form, for content too large to hold in memory at once:
+/// `write_body(fd)` writes the new content through the temp file's
+/// descriptor (opened at offset 0) in as many pieces as it likes, then
+/// steps 2-4 run.  An exception from `write_body` aborts like any I/O
+/// failure: the temp file is removed and `path` is untouched.
+void atomic_write_file(const std::string& path,
+                       const std::function<void(int fd)>& write_body);
+
+/// Write all of `bytes` to `fd`, resuming short and EINTR-interrupted
+/// writes.  Throws std::system_error naming `path` on failure.
+void write_all(int fd, std::string_view bytes, const std::string& path);
+
+/// fsync the directory `dir`, so names created, renamed or removed in it
+/// survive a crash.  Returns false (errno set) when it cannot.
+bool sync_directory(const std::string& dir);
 
 /// Read a whole file into a string.  Throws std::system_error when the
 /// file cannot be opened or read.

@@ -1,10 +1,13 @@
 #include "ash/fleet/checkpoint_store.h"
 
+#include <dirent.h>
 #include <unistd.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -221,6 +224,81 @@ TEST_F(CheckpointStoreTest, SaveIsAtomicNoTempFilesRemain) {
   const auto files = store.shard_files(0);
   ASSERT_EQ(files.size(), 1u);
   EXPECT_NE(files[0].find(".ckpt"), std::string::npos);
+}
+
+TEST_F(CheckpointStoreTest, StreamedSaveWritesTheSameFrame) {
+  const CheckpointStore store(dir_);
+  const std::string payload = binary_payload() + std::string(40000, 'x');
+  store.save(2, 9, [&](const CheckpointStore::PayloadSink& sink) {
+    for (std::size_t at = 0; at < payload.size(); at += 4096) {
+      sink(std::string_view(payload).substr(at, 4096));
+    }
+  });
+  EXPECT_EQ(util::read_file(dir_ + "/" + CheckpointStore::file_name(2, 9)),
+            frame_snapshot(2, 9, payload));
+}
+
+TEST_F(CheckpointStoreTest, FailedStreamedSaveLeavesNoFile) {
+  const CheckpointStore store(dir_);
+  EXPECT_THROW(store.save(0, 1,
+                          [](const CheckpointStore::PayloadSink& sink) {
+                            sink("half a snapshot");
+                            throw std::runtime_error("producer failed");
+                          }),
+               std::runtime_error);
+  EXPECT_TRUE(store.shard_files(0).empty());
+  DIR* d = ::opendir(dir_.c_str());
+  ASSERT_NE(d, nullptr);
+  while (dirent* e = ::readdir(d)) {
+    const std::string name = e->d_name;
+    EXPECT_TRUE(name == "." || name == "..") << "debris: " << name;
+  }
+  ::closedir(d);
+}
+
+TEST_F(CheckpointStoreTest, LogSegmentsAppendReopenAndCut) {
+  const CheckpointStore store(dir_);
+  {
+    LogSegment segment = store.open_segment(0, 5, 0);
+    ASSERT_TRUE(segment.is_open());
+    segment.append("abc");
+    segment.append("def");
+  }
+  const std::vector<SegmentFile> segments = store.segment_files(0);
+  ASSERT_EQ(segments.size(), 1u);
+  EXPECT_EQ(segments[0].base, 5u);
+  EXPECT_EQ(util::read_file(segments[0].path), "abcdef");
+  {
+    // Reopening cuts a torn tail before anything is appended after it.
+    LogSegment segment = store.open_segment(0, 5, 4);
+    segment.append("XY");
+  }
+  EXPECT_EQ(util::read_file(segments[0].path), "abcdXY");
+  // Segments are invisible to the snapshot scan and vice versa.
+  EXPECT_TRUE(store.shard_files(0).empty());
+  store.save(0, 5, "snap");
+  EXPECT_EQ(store.segment_files(0).size(), 1u);
+  store.remove_segment(segments[0]);
+  EXPECT_TRUE(store.segment_files(0).empty());
+}
+
+TEST_F(CheckpointStoreTest, PruneKeepsTheSegmentsRetainedSnapshotsReplay) {
+  const CheckpointStore store(dir_);
+  for (std::uint64_t seq : {0, 10, 20, 30}) {
+    store.save(0, seq, "state " + std::to_string(seq));
+    store.open_segment(0, seq, 0).append("records");
+  }
+  store.prune(0, 2);
+  ASSERT_EQ(store.shard_files(0).size(), 2u);
+  const std::vector<SegmentFile> segments = store.segment_files(0);
+  ASSERT_EQ(segments.size(), 2u);
+  EXPECT_EQ(segments[0].base, 20u);
+  EXPECT_EQ(segments[1].base, 30u);
+}
+
+TEST(CheckpointStoreNames, SegmentNamesFollowTheSnapshotScheme) {
+  EXPECT_EQ(CheckpointStore::segment_name(0, 256),
+            "shard-00000.seq-0000000256.log");
 }
 
 TEST(CheckpointStoreNames, FileNamesSortBySequence) {

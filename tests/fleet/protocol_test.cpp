@@ -278,6 +278,15 @@ TEST(PayloadCodec, AllResponseTypesRoundTrip) {
   const ErrorResponse error2 = ErrorResponse::parse(error.encode());
   EXPECT_EQ(error2.status, Status::kOverloaded);
   EXPECT_EQ(error2.message, error.message);
+
+  ErrorResponse too_old;
+  too_old.status = Status::kTooOldToReplay;
+  too_old.message = "request 3 of client 1 left its idempotency window";
+  const std::string too_old_bytes = too_old.encode();
+  const ErrorResponse too_old2 = ErrorResponse::parse(too_old_bytes);
+  EXPECT_EQ(too_old2.status, Status::kTooOldToReplay);
+  EXPECT_EQ(too_old2.message, too_old.message);
+  EXPECT_EQ(too_old2.encode(), too_old_bytes);
 }
 
 TEST(PayloadCodec, StrictDocumentRejectsHostileShapes) {
@@ -411,6 +420,7 @@ TEST(PayloadCodec, NumericFieldsRejectHostileValues) {
 TEST(PayloadCodec, MessageTypeNamesAreStable) {
   EXPECT_STREQ(to_string(MessageType::kMarginRequest), "margin-request");
   EXPECT_STREQ(to_string(Status::kOverloaded), "overloaded");
+  EXPECT_STREQ(to_string(Status::kTooOldToReplay), "too-old-to-replay");
   EXPECT_TRUE(known_message_type(1));
   EXPECT_TRUE(known_message_type(11));
   EXPECT_FALSE(known_message_type(0));

@@ -178,6 +178,48 @@ TEST_F(ServiceObsTest, InProcessScrapesAnswerLiveTallies) {
   EXPECT_EQ(service.state().sequence, 1u);
 }
 
+TEST_F(ServiceObsTest, StateHealthGaugesRideTheMetricsScrape) {
+  // The state-size gauges are volatile: published by publish_volatile()
+  // for scrapes and the drain dump, never part of any response payload.
+  ServiceConfig config = daemon_config("gauges");
+  Service service(config);
+  const std::uint64_t mutations = Service::kCompactEvery + 44;
+  for (std::uint64_t id = 1; id <= mutations; ++id) {
+    ScheduleSleepRequest req;
+    req.client_id = 3;
+    req.device_id = id % config.devices;
+    ASSERT_EQ(service
+                  .respond({MessageType::kScheduleSleepRequest, id,
+                            req.encode()})
+                  .type,
+              MessageType::kScheduleSleepResponse);
+  }
+  MetricsRequest metrics_req;
+  metrics_req.prefix = "fleet.service.state.";
+  const Frame frame = service.respond(
+      {MessageType::kMetricsRequest, mutations + 1, metrics_req.encode()});
+  ASSERT_EQ(frame.type, MessageType::kMetricsResponse);
+  const std::string text = MetricsResponse::parse(frame.payload).text;
+  bool found = false;
+  const double log_records =
+      metric_value(text, "fleet.service.state.log_records", &found);
+  EXPECT_TRUE(found);
+  EXPECT_EQ(log_records, 44.0);
+  EXPECT_LT(log_records, static_cast<double>(Service::kCompactEvery));
+  EXPECT_GT(metric_value(text, "fleet.service.state.snapshot_bytes", &found),
+            0.0);
+  EXPECT_TRUE(found);
+  EXPECT_EQ(
+      metric_value(text, "fleet.service.state.idempotency_entries", &found),
+      static_cast<double>(mutations));
+  EXPECT_TRUE(found);
+  EXPECT_GT(metric_value(text, "fleet.service.state.last_persist_ns", &found),
+            0.0);
+  EXPECT_TRUE(found);
+  EXPECT_EQ(text.find("fleet.service.requests"), std::string::npos)
+      << "prefix filter leaked foreign metrics";
+}
+
 TEST_F(ServiceObsTest, WireScrapesReportTheDaemonsLife) {
   const ServiceConfig config = daemon_config("wire");
   ForkedDaemon daemon(config);

@@ -2,7 +2,9 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -69,7 +71,7 @@ TEST_F(ServiceTest, StateSerializationRoundTripsBitExactly) {
   ServiceState state = ServiceState::genesis(3, Volts{12e-3}, 7);
   state.sequence = 5;
   state.devices[1].windows.push_back({Seconds{3600.0}, Seconds{21600.0}});
-  state.applied.push_back({42, 9, 1});
+  state.idempotency.remember({42, 9, 1});
   const std::string bytes = state.serialize();
   const ServiceState back = ServiceState::deserialize(bytes);
   EXPECT_EQ(back.serialize(), bytes);
@@ -88,6 +90,191 @@ TEST_F(ServiceTest, StateDeserializeRejectsMalformedInput) {
                std::runtime_error);
   // Missing terminator: a torn text body must not deserialize.
   EXPECT_THROW(ServiceState::deserialize(good.substr(0, good.size() - 4)),
+               std::runtime_error);
+}
+
+/// A small valid state document with windows, acks and an eviction mark.
+std::string sample_state_document() {
+  ServiceState state = ServiceState::genesis(3, Volts{12e-3}, 11);
+  MutationRecord record;
+  record.client_id = 4;
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    record.sequence = state.sequence + 1;
+    record.request_id = id;
+    record.device_id = id % 3;
+    record.start = Seconds{3600.0 * static_cast<double>(id)};
+    record.duration = Seconds{1.0 / 3.0};
+    state.apply(record);
+  }
+  state.idempotency.restore_evicted(9, 77);
+  return state.serialize();
+}
+
+/// `doc` with every line equal to `line` removed.
+std::string without_line(const std::string& doc, const std::string& line) {
+  std::string out;
+  std::size_t pos = 0;
+  while (pos < doc.size()) {
+    const std::size_t eol = doc.find('\n', pos);
+    const std::string current = doc.substr(pos, eol - pos);
+    if (current != line) out += current + "\n";
+    pos = eol + 1;
+  }
+  return out;
+}
+
+TEST_F(ServiceTest, StateWithEvictionMarksRoundTripsCanonically) {
+  const std::string doc = sample_state_document();
+  EXPECT_NE(doc.find("evicted 9 77\n"), std::string::npos);
+  const ServiceState back = ServiceState::deserialize(doc);
+  EXPECT_EQ(back.serialize(), doc);
+  EXPECT_TRUE(back.idempotency.too_old(9, 77));
+  EXPECT_FALSE(back.idempotency.too_old(9, 78));
+  EXPECT_EQ(back.idempotency.entries(), 3u);
+  ASSERT_NE(back.find_applied(4, 2), nullptr);
+  EXPECT_EQ(back.find_applied(4, 2)->windows_after, 1u);
+}
+
+TEST_F(ServiceTest, StateDeserializeCapsTheDeclaredDeviceCount) {
+  // Found by fuzzing: a hostile count must be refused before any resize,
+  // as std::runtime_error (never std::length_error or std::bad_alloc).
+  const std::string head = "ash-fleet-service v1\nsequence 0\nmargin_v 0.012\n";
+  for (const char* count : {"18446744073709551615", "1048577", "4000"}) {
+    const std::string doc = head + "devices " + count + "\nend\n";
+    try {
+      (void)ServiceState::deserialize(doc);
+      ADD_FAILURE() << "accepted devices " << count;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("device count"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST_F(ServiceTest, StateDeserializeDemandsEveryKeyExactlyOnce) {
+  const std::string doc = sample_state_document();
+  ASSERT_NO_THROW((void)ServiceState::deserialize(doc));
+  const auto rejects = [](const std::string& bad, const char* what) {
+    EXPECT_THROW((void)ServiceState::deserialize(bad), std::runtime_error)
+        << what;
+  };
+  // Repeated keys.
+  for (const char* line : {"sequence 3\n", "margin_v 0.012\n",
+                           "devices 3\n", "evicted 9 1\n"}) {
+    std::string bad = doc;
+    bad.insert(bad.find("end\n"), line);
+    rejects(bad, line);
+  }
+  {
+    std::string bad = doc;
+    const std::size_t at = bad.find("device 1 ");
+    bad.insert(at, bad.substr(at, bad.find('\n', at) + 1 - at));
+    rejects(bad, "repeated device line");
+  }
+  {
+    std::string bad = doc;
+    const std::size_t at = bad.find("applied 4 2 ");
+    bad.insert(bad.find("end\n"),
+               bad.substr(at, bad.find('\n', at) + 1 - at));
+    rejects(bad, "repeated idempotency key");
+  }
+  // Dropped keys.
+  rejects(without_line(doc, "sequence 3"), "no sequence");
+  rejects(without_line(doc, "devices 3"), "no devices");
+  {
+    const std::size_t at = doc.find("margin_v ");
+    rejects(without_line(doc, doc.substr(at, doc.find('\n', at) - at)),
+            "no margin_v");
+    const std::size_t dev = doc.find("device 2 ");
+    rejects(without_line(doc, doc.substr(dev, doc.find('\n', dev) - dev)),
+            "device line dropped");
+  }
+  // Trailing tokens, non-finite values, out-of-range ids.
+  {
+    std::string bad = doc;
+    bad.replace(bad.find("sequence 3\n"), 11, "sequence 3 junk\n");
+    rejects(bad, "trailing token");
+  }
+  {
+    std::string bad = doc;
+    bad.insert(bad.find("end\n"), "window 0 inf 1\n");
+    rejects(bad, "non-finite window");
+    bad = doc;
+    bad.insert(bad.find("end\n"), "window 3 1 1\n");
+    rejects(bad, "window device out of range");
+    bad = doc;
+    bad.insert(bad.find("end\n"), "window -1 1 1\n");
+    rejects(bad, "negative id");
+  }
+}
+
+TEST_F(ServiceTest, StateDeserializeThrowsOnlyRuntimeErrors) {
+  // Every strict prefix and every single-byte substitution either parses
+  // or throws std::runtime_error — nothing else may escape.
+  const std::string doc = sample_state_document();
+  for (std::size_t cut = 0; cut < doc.size(); ++cut) {
+    EXPECT_THROW((void)ServiceState::deserialize(doc.substr(0, cut)),
+                 std::runtime_error)
+        << "prefix of " << cut << " bytes";
+  }
+  for (std::size_t at = 0; at < doc.size(); ++at) {
+    for (const char c : {'\0', '9', ' ', '\n', '-', 'e'}) {
+      std::string mutated = doc;
+      mutated[at] = c;
+      try {
+        (void)ServiceState::deserialize(mutated);
+      } catch (const std::runtime_error&) {
+      } catch (...) {
+        ADD_FAILURE() << "non-runtime_error escaped at byte " << at;
+      }
+    }
+  }
+}
+
+TEST_F(ServiceTest, MutationRecordRoundTripsBitExactly) {
+  MutationRecord record;
+  record.sequence = 0x0102030405060708ULL;
+  record.client_id = ~std::uint64_t{0};
+  record.request_id = 42;
+  record.device_id = 6;
+  record.start = Seconds{-0.0};
+  record.duration = Seconds{4.9406564584124654e-324};  // denormal
+  const std::string bytes = record.encode();
+  ASSERT_EQ(bytes.size(), MutationRecord::kBytes);
+  const MutationRecord back = MutationRecord::decode(bytes, 8);
+  EXPECT_EQ(back.sequence, record.sequence);
+  EXPECT_EQ(back.client_id, record.client_id);
+  EXPECT_EQ(back.request_id, record.request_id);
+  EXPECT_EQ(back.device_id, record.device_id);
+  EXPECT_TRUE(std::signbit(back.start.value()));
+  EXPECT_EQ(back.duration.value(), record.duration.value());
+  EXPECT_EQ(back.encode(), bytes);
+}
+
+TEST_F(ServiceTest, MutationRecordDecoderRejectsEveryCorruption) {
+  MutationRecord record;
+  record.sequence = 7;
+  record.device_id = 2;
+  record.start = Seconds{3600.0};
+  record.duration = Seconds{21600.0};
+  const std::string bytes = record.encode();
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_THROW((void)MutationRecord::decode(bytes.substr(0, cut), 8),
+                 std::runtime_error);
+  }
+  EXPECT_THROW((void)MutationRecord::decode(bytes + "x", 8),
+               std::runtime_error);
+  for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    std::string flipped = bytes;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    EXPECT_THROW((void)MutationRecord::decode(flipped, 8), std::runtime_error)
+        << "bit " << bit;
+  }
+  // CRC-valid but semantically out of range.
+  EXPECT_THROW((void)MutationRecord::decode(bytes, 2), std::runtime_error);
+  MutationRecord nan = record;
+  nan.start = Seconds{std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_THROW((void)MutationRecord::decode(nan.encode(), 8),
                std::runtime_error);
 }
 
