@@ -231,14 +231,12 @@ int run_json_mode(const std::string& path) {
   // kinetics class (shared seed, per-chip DeltaVth corner scale) driven
   // through a noisy fleet campaign — drifting chamber temperature (every
   // interval a fresh condition), periodic AC measurement wakes, a steady
-  // recovery tail, and a whole-fleet margin read every 16 steps.  Three
-  // passes over the identical schedule: 1024 independent TrapEnsembles,
-  // the batch engine in exact mode (asserted bit-identical), and the
-  // batch engine with fast_exp.
+  // recovery tail, and a whole-fleet margin read every 16 steps.  Two
+  // passes over the identical schedule: 1024 independent TrapEnsembles and
+  // the batch engine (asserted bit-identical).
   constexpr int kPopChips = 1024;
   double pop_independent_ms = 0.0;
   double pop_batch_ms = 0.0;
-  double pop_fast_ms = 0.0;
   int pop_steps = 0;
   {
     struct PopStep {
@@ -305,9 +303,9 @@ int run_json_mode(const std::string& path) {
     }
     obs::enable_profiling(true);
 
-    // Pass 2: batch engine, exact mode (this is the bti.batch.evolve row).
+    // Pass 2: batch engine (this is the bti.batch.evolve row).
     {
-      bti::BatchEnsemble batch(specs, {});
+      bti::BatchEnsemble batch(specs);
       const auto t0 = clock::now();
       double acc = 0.0;
       for (const auto& step : schedule) {
@@ -321,35 +319,12 @@ int run_json_mode(const std::string& path) {
       for (int m = 0; m < kPopChips; ++m) {
         if (batch.delta_vth(m) != independent_delta[static_cast<std::size_t>(m)]) {
           std::fprintf(stderr,
-                       "bench_perf_kernels: batch exact mode diverged from "
+                       "bench_perf_kernels: batch engine diverged from "
                        "independent runs at chip %d\n",
                        m);
           return 1;
         }
       }
-    }
-
-    // Pass 3: batch engine, fast physics.
-    {
-      bti::BatchConfig fast;
-      fast.fast_exp = true;
-      bti::BatchEnsemble batch(specs, fast);
-      const auto t0 = clock::now();
-      double acc = 0.0;
-      for (const auto& step : schedule) {
-        batch.evolve(step.condition, Seconds{step.dt_s});
-        if (step.read_fleet) {
-          for (int m = 0; m < kPopChips; ++m) acc += batch.delta_vth(m);
-        }
-      }
-      pop_fast_ms = wall_ms(t0, clock::now());
-      benchmark::DoNotOptimize(acc);
-      double worst = 0.0;
-      for (int m = 0; m < kPopChips; ++m) {
-        const double exact = independent_delta[static_cast<std::size_t>(m)];
-        worst = std::max(worst, std::abs(batch.delta_vth(m) - exact) / exact);
-      }
-      std::printf("population fast-exp max relative deviation: %.2e\n", worst);
     }
   }
 
@@ -383,23 +358,19 @@ int run_json_mode(const std::string& path) {
                 "  \"population_steps\": %d,\n"
                 "  \"population_independent_wall_ms\": %.1f,\n"
                 "  \"population_batch_wall_ms\": %.1f,\n"
-                "  \"population_batch_fast_wall_ms\": %.1f,\n"
-                "  \"population_speedup_exact\": %.2f,\n"
-                "  \"population_speedup_fast\": %.2f\n}\n",
+                "  \"population_speedup_exact\": %.2f\n}\n",
                 campaign_ms, fixed_drive_ms, kPopChips, pop_steps,
-                pop_independent_ms, pop_batch_ms, pop_fast_ms,
-                pop_independent_ms / pop_batch_ms,
-                pop_independent_ms / pop_fast_ms);
+                pop_independent_ms, pop_batch_ms,
+                pop_independent_ms / pop_batch_ms);
   os << tail;
   std::printf("wrote %s\n%s", path.c_str(), obs::profile_table().c_str());
   std::printf("chip5 campaign: %.1f ms   fixed drive: %.1f ms\n",
               campaign_ms, fixed_drive_ms);
   std::printf(
       "population (%d chips, %d steps): independent %.1f ms   batch %.1f ms "
-      "(%.1fx)   fast %.1f ms (%.1fx)\n",
+      "(%.1fx)\n",
       kPopChips, pop_steps, pop_independent_ms, pop_batch_ms,
-      pop_independent_ms / pop_batch_ms, pop_fast_ms,
-      pop_independent_ms / pop_fast_ms);
+      pop_independent_ms / pop_batch_ms);
   return 0;
 }
 

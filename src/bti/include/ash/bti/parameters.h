@@ -133,6 +133,10 @@ struct TdParameters {
   /// Throws std::invalid_argument with a descriptive message if any
   /// constant is out of its physical domain.
   void validate() const;
+
+  /// Field-wise equality.  `BatchEnsemble` groups members into trap classes
+  /// with it, so a field added here takes part in class grouping.
+  bool operator==(const TdParameters&) const = default;
 };
 
 /// The default-calibrated parameter set for the 40 nm FPGA reproduction.

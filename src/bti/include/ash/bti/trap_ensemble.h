@@ -12,22 +12,21 @@
 /// authors fit their equations against chip measurements.
 ///
 /// Performance architecture (DESIGN.md Sec. 8): the trap population is
-/// stored structure-of-arrays so the per-step occupancy sweep touches only
-/// the two arrays it needs, and the per-condition rate constants (two
+/// stored structure-of-arrays, and the per-condition rate constants (two
 /// exponentials and two divisions per trap in the naive formulation) are
-/// memoized in a small per-ensemble `RateCache` keyed on the operating
-/// condition.  Campaigns apply the same handful of conditions for millions
-/// of steps, so the steady-state cost of `evolve` is one fused
-/// multiply-add sweep over the ensemble — no `exp()` at all when the
-/// (condition, dt) pair repeats.  All cached values are computed with the
-/// exact expression order of the original per-trap loop, so trajectories
-/// stay bit-identical (enforced by tests/perf/golden_trajectory_test.cpp).
+/// memoized by the device's `RateMemo` (rate_memo.h), the aging kernel this
+/// class shares with `BatchEnsemble`.  Campaigns apply the same handful of
+/// conditions for millions of steps, so the steady-state cost of `evolve`
+/// is one fused multiply-add sweep over the ensemble — no `exp()` at all
+/// when the (condition, dt) pair repeats.  Trajectories are pinned
+/// bit-for-bit by tests/perf/golden_trajectory_test.cpp.
 
 #include <cstdint>
 #include <vector>
 
 #include "ash/bti/condition.h"
 #include "ash/bti/parameters.h"
+#include "ash/bti/rate_memo.h"
 
 namespace ash::bti {
 
@@ -65,7 +64,7 @@ class TrapEnsemble {
   void reset();
 
   int trap_count() const { return static_cast<int>(occupancy_.size()); }
-  const TdParameters& parameters() const { return params_; }
+  const TdParameters& parameters() const { return memo_.parameters(); }
 
   /// Snapshot / restore of the mutable state (occupancies), for
   /// checkpointing long campaigns.  `set_occupancies` requires a vector of
@@ -82,117 +81,20 @@ class TrapEnsemble {
   /// occupancies — and anything derived from them — are unchanged.
   std::uint64_t state_version() const { return version_; }
 
-  /// Read-only view of the trap population's SoA arrays (trap_count()
-  /// entries each).  `bti::BatchEnsemble` adopts members through this view
-  /// so a batch is constructed from the *same* drawn population a solo
-  /// ensemble would evolve — the foundation of the batch engine's
-  /// bit-exactness contract (DESIGN.md Sec. 13).  Pointers are invalidated
-  /// by destroying or moving the ensemble; the arrays themselves are
-  /// immutable after construction.
-  struct PopulationView {
-    const double* delta_vth_v = nullptr;
-    const double* tau_capture_s = nullptr;
-    const double* tau_emission_s = nullptr;
-    const double* capture_ea_ev = nullptr;
-    const double* emission_ea_ev = nullptr;
-    const std::uint8_t* permanent = nullptr;
-    int trap_count = 0;
-  };
-  PopulationView population_view() const;
+  /// What `bti::BatchEnsemble` adopts: the kinetics draw (inside the rate
+  /// memo) and the per-trap shift contributions, trap_count() entries.  A
+  /// batch is thus built from the *same* drawn population a solo ensemble
+  /// evolves — the foundation of its bit-exactness (DESIGN.md Sec. 13).
+  const RateMemo& rate_memo() const { return memo_; }
+  const std::vector<double>& trap_delta_vth() const { return delta_vth_v_; }
 
  private:
-  /// Per-condition memo: everything of the exact occupancy update
-  ///   p' = p_inf + (p - p_inf) * exp(-lambda * dt)
-  /// that does not depend on dt (lambda, p_inf), plus the decay factors
-  /// for the most recent dt.  Traps with lambda <= 0 store p_inf = 0 and
-  /// decay = 1, which leaves their occupancy bit-exactly unchanged —
-  /// the branch-free equivalent of the old early return.
-  struct RateEntry {
-    Volts voltage_v{0.0};
-    Kelvin temperature_k{0.0};
-    double duty = 0.0;
-    bool valid = false;
-    std::vector<double> lambda;
-    std::vector<double> p_inf;
-    double decay_dt_s = -1.0;
-    std::vector<double> decay;
-  };
-
-  /// Per-temperature memo of the per-trap Arrhenius factors
-  /// exp(-Ea_i * arr_x).  The condition's voltage and duty enter the rate
-  /// formulas only through scalars, so these arrays are reusable across
-  /// conditions sharing a temperature — which the testbench produces
-  /// naturally (a measurement wake and the following aging step read the
-  /// same chamber state).
-  struct FactorCache {
-    struct Slot {
-      double arr_x = 0.0;
-      bool valid = false;
-      std::vector<double> f;
-    };
-    static constexpr int kSlots = 2;
-    Slot slots[kSlots];
-    int next = 0;
-  };
-
-  /// Condition-level scalars of the rate formulas, hoisted out of the
-  /// per-trap loops.
-  struct CondScalars {
-    double duty;
-    double phi;
-    double capture_field;
-    double capture_arr_x;
-    double emission_bias_boost;
-    double emission_arr_x;
-  };
-  CondScalars scalars_for(const OperatingCondition& condition) const;
-
-  /// Factors exp(-ea[i] * arr_x) for the whole population, memoized.
-  const double* arrhenius_factors(FactorCache& cache,
-                                  const std::vector<double>& ea_ev,
-                                  double arr_x);
-
-  /// Cache miss on a *recurring* condition: compute rates + decay into the
-  /// memo entry and advance occupancies in one fused pass.
-  void fill_and_step(RateEntry& entry, const OperatingCondition& condition,
-                     double dt_s);
-  /// Condition hit, new dt: recompute decay factors and advance.
-  void refill_decay_and_step(RateEntry& entry, double dt_s);
-  /// Cache miss on a *one-shot* condition (e.g. a drifting chamber
-  /// temperature, where every interval is unique): advance occupancies
-  /// without writing any memo arrays — the rate/decay values live only in
-  /// registers, which roughly halves the memory traffic of a miss.
-  void transient_step(const OperatingCondition& condition, double dt_s);
-
-  TdParameters params_;
-
-  // --- trap population, structure-of-arrays ------------------------------
+  // Trap population, structure-of-arrays: the per-trap shifts and
+  // occupancies here, the kinetics draw in the memo.  delta_vth_v_ is
+  // declared first: the draw that builds memo_ fills it.
   std::vector<double> delta_vth_v_;
-  std::vector<double> tau_capture_s_;
-  std::vector<double> tau_emission_s_;
-  std::vector<double> capture_ea_ev_;
-  std::vector<double> emission_ea_ev_;
-  std::vector<std::uint8_t> permanent_;
+  RateMemo memo_;
   std::vector<double> occupancy_;
-
-  // --- caches ------------------------------------------------------------
-  /// Small round-robin condition cache; campaigns cycle through a handful
-  /// of (stress, recovery, measurement) conditions.
-  static constexpr int kRateCacheSlots = 6;
-  std::vector<RateEntry> rate_cache_;
-  int rate_cache_next_ = 0;
-
-  /// Temperature-keyed Arrhenius factor memos (capture and emission use
-  /// different reference temperatures, hence separate caches).
-  FactorCache capture_factors_;
-  FactorCache emission_factors_;
-
-  /// Key of the most recent one-shot miss: a condition missing twice in a
-  /// row is recurring and gets promoted into the rate cache.
-  Volts last_miss_voltage_{0.0};
-  Kelvin last_miss_temp_{0.0};
-  double last_miss_duty_ = 0.0;
-  bool last_miss_valid_ = false;
 
   std::uint64_t version_ = 0;
   mutable double cached_delta_vth_ = 0.0;

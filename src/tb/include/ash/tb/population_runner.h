@@ -23,7 +23,7 @@
 ///     shared across chips whose trap kinetics coincide and the per-chip
 ///     work collapses to the fused occupancy update.
 ///
-/// Determinism contract: in exact mode the per-chip sample logs are
+/// Determinism contract: the per-chip sample logs are
 /// bit-identical to N independent ExperimentRunner::run calls with the
 /// same RunnerConfig and per-chip test cases sharing this schedule.  The
 /// bench bench_ablation_chip_variation asserts that byte equality against
@@ -48,10 +48,6 @@ namespace ash::tb {
 
 /// Batch-engine knobs, forwarded to the per-site bti::BatchEnsemble.
 struct PopulationRunnerConfig {
-  /// false (default): exact mode, bit-identical to the solo runner.
-  /// true: util::fast_exp physics (bounded approximation, not
-  /// bit-identical — see bti::BatchConfig::fast_exp).
-  bool fast_exp = false;
   /// Optional worker pool for the per-site occupancy sweeps.
   util::ThreadPool* pool = nullptr;
 };

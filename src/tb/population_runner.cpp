@@ -63,7 +63,7 @@ constexpr int kSiteDevices = kLutDevices + kRoutingDevices;
 class PopulationPhysics {
  public:
   PopulationPhysics(const std::vector<fpga::FpgaChip*>& chips,
-                    const bti::BatchConfig& batch_config)
+                    util::ThreadPool* pool)
       : stages_(chips.front()->ro().stage_count()) {
     sites_.reserve(static_cast<std::size_t>(stages_ * kSiteDevices));
     targets_.reserve(sites_.capacity());
@@ -82,7 +82,7 @@ class PopulationPhysics {
           members.push_back(&e);
           targets.push_back(&e);
         }
-        sites_.emplace_back(members, batch_config);
+        sites_.emplace_back(members, pool);
         targets_.push_back(std::move(targets));
       }
     }
@@ -217,10 +217,7 @@ std::vector<DataLog> PopulationRunner::run(
   std::vector<DataLog> logs(static_cast<std::size_t>(n));
   if (tc.phases.empty()) return logs;
 
-  bti::BatchConfig batch_config;
-  batch_config.fast_exp = population_.fast_exp;
-  batch_config.pool = population_.pool;
-  PopulationPhysics physics(chips, batch_config);
+  PopulationPhysics physics(chips, population_.pool);
   const fpga::RingOscillator& structure = chips.front()->ro();
 
   double t_campaign = 0.0;

@@ -43,6 +43,34 @@ std::vector<Step> mixed_schedule() {
   return steps;
 }
 
+// A schedule built to evict: 8 recurring conditions (more than the solo
+// ensemble's 6 rate slots) over 3 temperatures (more than the 2 Arrhenius
+// factor entries per memo).  Each visit repeats its condition so the solo
+// ensemble promotes it (miss, miss, hits), and the cycle runs three times,
+// so every revisit finds its slot and its factors evicted.  The third
+// round changes each condition's dt, refreshing the decay of slots the
+// batch engine (16 slots) still holds.
+std::vector<Step> eviction_schedule() {
+  const std::vector<OperatingCondition> conditions = {
+      dc_stress(Volts{1.2}, Celsius{110.0}),
+      recovery(Volts{-0.3}, Celsius{110.0}),
+      dc_stress(Volts{1.2}, Celsius{90.0}),
+      ac_stress(Volts{1.2}, Celsius{100.0}, 0.5),
+      recovery(Volts{0.0}, Celsius{90.0}),
+      dc_stress(Volts{1.0}, Celsius{100.0}),
+      ac_stress(Volts{1.1}, Celsius{110.0}, 0.25),
+      recovery(Volts{-0.2}, Celsius{100.0}),
+  };
+  std::vector<Step> steps;
+  for (int round = 0; round < 3; ++round) {
+    const double dt_s = round < 2 ? 300.0 : 900.0;
+    for (const auto& c : conditions) {
+      for (int i = 0; i < 4; ++i) steps.push_back({c, dt_s});
+    }
+  }
+  return steps;
+}
+
 std::vector<BatchMemberSpec> distinct_seed_population(int n) {
   std::vector<BatchMemberSpec> specs;
   for (int m = 0; m < n; ++m) {
@@ -67,14 +95,15 @@ std::vector<BatchMemberSpec> one_class_population(int n) {
 }
 
 void expect_bit_identical_trajectories(
-    const std::vector<BatchMemberSpec>& specs, const BatchConfig& config) {
+    const std::vector<BatchMemberSpec>& specs, util::ThreadPool* pool,
+    const std::vector<Step>& schedule = mixed_schedule()) {
   std::vector<TrapEnsemble> solo;
   solo.reserve(specs.size());
   for (const auto& s : specs) solo.emplace_back(s.params, s.seed);
-  BatchEnsemble batch(specs, config);
+  BatchEnsemble batch(specs, pool);
 
   int step_index = 0;
-  for (const auto& step : mixed_schedule()) {
+  for (const auto& step : schedule) {
     batch.evolve(step.condition, Seconds{step.dt_s});
     for (std::size_t m = 0; m < solo.size(); ++m) {
       solo[m].evolve(step.condition, Seconds{step.dt_s});
@@ -111,6 +140,19 @@ TEST(BatchEnsemble, ExactModeBitIdenticalOneClass64) {
   expect_bit_identical_trajectories(specs, {});
 }
 
+// Slot and Arrhenius-factor eviction, the part of the shared rate memo the
+// mixed schedule never reaches: solo (6 slots, fills on a repeated miss)
+// and batch (16 slots, fills on every miss) must still agree bit for bit.
+TEST(BatchEnsemble, EvictionScheduleBitIdenticalDistinctSeeds) {
+  expect_bit_identical_trajectories(distinct_seed_population(16), nullptr,
+                                    eviction_schedule());
+}
+
+TEST(BatchEnsemble, EvictionScheduleBitIdenticalOneClass) {
+  expect_bit_identical_trajectories(one_class_population(16), nullptr,
+                                    eviction_schedule());
+}
+
 TEST(BatchEnsemble, AdoptedEnsemblesContinueBitIdentically) {
   const auto specs = distinct_seed_population(8);
   std::vector<TrapEnsemble> solo;
@@ -141,9 +183,7 @@ TEST(BatchEnsemble, AdoptedEnsemblesContinueBitIdentically) {
 TEST(BatchEnsemble, ThreadPoolShardingBitIdentical) {
   const auto specs = one_class_population(48);
   util::ThreadPool pool(4);
-  BatchConfig threaded;
-  threaded.pool = &pool;
-  BatchEnsemble parallel_batch(specs, threaded);
+  BatchEnsemble parallel_batch(specs, &pool);
   BatchEnsemble serial_batch(specs, {});
   for (const auto& step : mixed_schedule()) {
     parallel_batch.evolve(step.condition, Seconds{step.dt_s});
@@ -151,27 +191,6 @@ TEST(BatchEnsemble, ThreadPoolShardingBitIdentical) {
   }
   for (int m = 0; m < serial_batch.member_count(); ++m) {
     ASSERT_EQ(parallel_batch.occupancies(m), serial_batch.occupancies(m));
-  }
-}
-
-// Fast mode is approximate but tightly bounded: per-step factor error is
-// <= util::kFastExpRelErr, and it compounds only linearly with the step
-// count of the schedule, so the end-of-campaign shift agrees to ~1e-6.
-TEST(BatchEnsemble, FastModeStaysWithinErrorBudget) {
-  const auto specs = one_class_population(16);
-  BatchConfig fast;
-  fast.fast_exp = true;
-  BatchEnsemble exact_batch(specs, {});
-  BatchEnsemble fast_batch(specs, fast);
-  for (const auto& step : mixed_schedule()) {
-    exact_batch.evolve(step.condition, Seconds{step.dt_s});
-    fast_batch.evolve(step.condition, Seconds{step.dt_s});
-  }
-  for (int m = 0; m < exact_batch.member_count(); ++m) {
-    const double exact = exact_batch.delta_vth(m);
-    const double approx = fast_batch.delta_vth(m);
-    ASSERT_GT(exact, 0.0);
-    ASSERT_NEAR(approx / exact, 1.0, 1e-6) << "member " << m;
   }
 }
 
@@ -217,6 +236,20 @@ TEST(BatchEnsemble, SetOccupanciesRoundTripAndReset) {
   auto bad = snapshot;
   bad[0] = 1.5;
   EXPECT_THROW(batch.set_occupancies(1, bad), std::invalid_argument);
+}
+
+TEST(BatchEnsemble, MemberIndexOutOfRangeThrows) {
+  const auto specs = distinct_seed_population(3);
+  BatchEnsemble batch(specs, {});
+  const std::vector<double> occ(static_cast<std::size_t>(batch.trap_count(0)),
+                                0.0);
+  for (const int m : {-1, batch.member_count()}) {
+    EXPECT_THROW(batch.delta_vth(m), std::out_of_range) << m;
+    EXPECT_THROW(batch.occupancies(m), std::out_of_range) << m;
+    EXPECT_THROW(batch.set_occupancies(m, occ), std::out_of_range) << m;
+    EXPECT_THROW(batch.trap_count(m), std::out_of_range) << m;
+    EXPECT_THROW(batch.parameters(m), std::out_of_range) << m;
+  }
 }
 
 TEST(BatchEnsemble, RejectsEmptyAndNullPopulations) {

@@ -131,10 +131,9 @@ class AshLintMetricHotPathTest(unittest.TestCase):
 
 
 class AshLintFastExpScopeTest(unittest.TestCase):
-    """float-physics' exponential half: util/fast_exp.h is the only
-    allowed site for a non-std::exp exponential, and the scope reaches
-    src/util (where a second approximation would most plausibly appear),
-    not just the physics modules."""
+    """float-physics' exponential half: a homebrew approximate exponential
+    is a finding, and the scope reaches src/util (where one would most
+    plausibly appear), not just the physics modules."""
 
     def test_homebrew_exponential_in_util_is_flagged(self):
         root = os.path.join(FIXTURES, "float_physics")
@@ -143,18 +142,8 @@ class AshLintFastExpScopeTest(unittest.TestCase):
         code, payload = run_lint(root, [rel], "float-physics")
         self.assertEqual(code, 1)
         self.assertEqual(len(payload["findings"]), 1)
-        self.assertIn("util/fast_exp.h is the only allowed site",
+        self.assertIn("homebrew approximate exponential",
                       payload["findings"][0]["message"])
-
-    def test_real_fast_exp_header_is_exempt(self):
-        rel = os.path.join("src", "util", "include", "ash", "util",
-                           "fast_exp.h")
-        self.assertTrue(os.path.isfile(os.path.join(REPO, rel)))
-        code, payload = run_lint(REPO, [rel], "float-physics")
-        self.assertEqual(code, 0, payload)
-        self.assertEqual(payload["findings"], [])
-        # ... and not because of suppression comments.
-        self.assertEqual(payload["suppressed"], 0)
 
 
 class AshLintRepoTest(unittest.TestCase):

@@ -5,6 +5,6 @@ double pack(double x) {
 double legacy_decay(double x) {
   return expf(x);  // ash-lint: allow(float-physics): fixture-sanctioned violation
 }
-double fast_exp_shim(double x) {  // ash-lint: allow(float-physics): fixture-sanctioned violation
+double approx_exp_shim(double x) {  // ash-lint: allow(float-physics): fixture-sanctioned violation
   return 1.0 + x;
 }

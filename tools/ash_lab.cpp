@@ -12,13 +12,11 @@
 ///   plan      — cheapest sleep conditions for a recovery target
 ///       ash_lab plan [--target 0.9] [--budget-hours 6] [--stress-hours 24]
 ///   population — sweep a chip population through the batch engine
-///       ash_lab population [--chips 1024] [--seed N] [--mode exact|fast]
-///                          [--steps 474] [--temp 110] [--jobs N]
+///       ash_lab population [--chips 1024] [--seed N] [--steps 474]
+///                          [--temp 110] [--jobs N]
 ///       N chips with log-normal corner spread aged in lockstep under a
 ///       drifting DC-stress chamber (the bench_perf_kernels population
-///       workload); prints the DeltaVth spread and wall time.  --mode fast
-///       opts into util::fast_exp physics (deterministic, but not
-///       bit-equal to exact; see DESIGN.md Sec. 13).
+///       workload); prints the DeltaVth spread and wall time.
 ///   chipN     — run ONE Table 1 chip of the paper campaign (chip1..chip5)
 ///       ash_lab chip5 [--stages 75] [--out DIR] [--seed N]
 ///                     [--fault-plan none|representative|harsh]
@@ -313,16 +311,11 @@ int cmd_stress(const Flags& flags) {
 /// once per trap class.
 int cmd_population(const Flags& flags) {
   flags.check_known(
-      with_obs({"chips", "seed", "mode", "steps", "temp", "jobs"}));
+      with_obs({"chips", "seed", "steps", "temp", "jobs"}));
   const int chips = flags.get("chips", 1024);
   const int steps = flags.get("steps", 360);
   if (chips < 1 || steps < 1) {
     std::fprintf(stderr, "ash_lab: --chips and --steps must be >= 1\n");
-    return 2;
-  }
-  const std::string mode = flags.get("mode", std::string("exact"));
-  if (mode != "exact" && mode != "fast") {
-    std::fprintf(stderr, "ash_lab: --mode must be exact or fast\n");
     return 2;
   }
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", 0xF1EE7));
@@ -340,20 +333,15 @@ int cmd_population(const Flags& flags) {
     specs.push_back({p, seed + 1});
   }
 
-  bti::BatchConfig bc;
-  bc.fast_exp = (mode == "fast");
   const int jobs = flags.get("jobs", 0);
   std::unique_ptr<util::ThreadPool> pool;
   if (flags.has("jobs")) {
     pool = std::make_unique<util::ThreadPool>(
         jobs != 0 ? jobs : util::recommended_pool_size(chips));
-    bc.pool = pool.get();
   }
-  bti::BatchEnsemble batch(specs, bc);
-  std::printf("population: %d chip(s), %d class(es), %d trap(s)/chip, "
-              "%s physics\n",
-              batch.member_count(), batch.class_count(), batch.trap_count(0),
-              mode.c_str());
+  bti::BatchEnsemble batch(specs, pool.get());
+  std::printf("population: %d chip(s), %d class(es), %d trap(s)/chip\n",
+              batch.member_count(), batch.class_count(), batch.trap_count(0));
 
   // Harness wall time around the sweep (reported, never fed back into the
   // physics) — the same legitimacy as the bench timers.
