@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
 
     std::printf("running %s (chip %d, %.0f h of schedule)...\n",
                 test_case.name.c_str(), test_case.chip_id,
-                test_case.total_duration_s() / 3600.0);
+                test_case.total_duration_s().value() / 3600.0);
     const tb::DataLog log = runner.run(chip, test_case);
 
     const std::string path =

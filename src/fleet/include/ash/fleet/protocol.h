@@ -28,11 +28,14 @@
 /// `CheckpointStore` refuses a torn snapshot.
 ///
 /// Payloads are line-oriented `key value` text documents (the repo's
-/// checkpoint idiom: diffable, 8-bit-clean inside the CRC envelope).
-/// Doubles are printed with %.17g so every value round-trips bit-exactly —
-/// what makes retried-transcript == undisturbed-transcript a *byte*
-/// comparison.  Quantities cross the wire as strong units (ash::Seconds,
-/// ash::Volts, ash::Celsius): the struct field types are the wire schema.
+/// checkpoint idiom: diffable, 8-bit-clean inside the CRC envelope).  Each
+/// message's fields are listed once, in a field table in protocol.cpp that
+/// drives both encode() and parse(); a document carries exactly those
+/// lines, in table order.  Doubles are printed with %.17g so every value
+/// round-trips bit-exactly — what makes retried-transcript ==
+/// undisturbed-transcript a *byte* comparison.  Quantities cross the wire as
+/// strong units (ash::Seconds, ash::Volts, ash::Celsius): the struct field
+/// types are the wire schema.
 
 #include <array>
 #include <atomic>
@@ -229,8 +232,9 @@ class FrameReader {
 
 // ---------------------------------------------------------------------------
 // Request / response payloads.  Strong units are the wire schema; encode()
-// prints canonical text, parse() validates every field and throws
-// ProtocolError naming the offender.
+// prints canonical text, parse() validates every field in table order and
+// throws ProtocolError naming the offender (quoting at most a short prefix
+// of hostile input).
 // ---------------------------------------------------------------------------
 
 /// Liveness probe.  Both payloads are empty by definition — the codec

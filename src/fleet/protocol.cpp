@@ -1,12 +1,15 @@
 #include "ash/fleet/protocol.h"
 
 #include <algorithm>
-#include <cerrno>
+#include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <initializer_list>
-#include <map>
+#include <iterator>
+#include <limits>
+#include <type_traits>
+#include <variant>
 
 #include "ash/obs/metrics.h"
 #include "ash/util/crc32.h"
@@ -88,296 +91,93 @@ Frame finish_frame(std::string_view bytes) {
 }
 
 // -------------------------------------------------------------------------
-// Text-document payload helpers.
+// Wire names.  Each enumerator's name is written once, in these tables.
 // -------------------------------------------------------------------------
 
-/// %.17g: the shortest printf format that round-trips every finite double
-/// bit-exactly — transcript comparisons are byte comparisons because of it.
-std::string fmt_double(double v) { return strformat("%.17g", v); }
-
-void put_field(std::string& out, const char* key, const std::string& value) {
-  out += key;
-  out += ' ';
-  out += value;
-  out += '\n';
-}
-
-/// Strict `key value` document: every key required exactly once, no
-/// unknown keys, every number finite.  Hostile payloads with a valid CRC
-/// (an attacker can compute CRCs) die here, field by field.
-class Doc {
- public:
-  Doc(std::string_view payload, std::initializer_list<const char*> schema) {
-    std::size_t pos = 0;
-    while (pos < payload.size()) {
-      std::size_t eol = payload.find('\n', pos);
-      if (eol == std::string_view::npos) {
-        throw ProtocolError("payload line without newline terminator");
-      }
-      const std::string_view line = payload.substr(pos, eol - pos);
-      pos = eol + 1;
-      const std::size_t space = line.find(' ');
-      if (space == std::string_view::npos || space == 0) {
-        throw ProtocolError("malformed payload line '" + std::string(line) +
-                            "'");
-      }
-      const std::string key(line.substr(0, space));
-      bool known = false;
-      for (const char* want : schema) known = known || key == want;
-      if (!known) throw ProtocolError("unknown field '" + key + "'");
-      if (!fields_.emplace(key, std::string(line.substr(space + 1))).second) {
-        throw ProtocolError("duplicate field '" + key + "'");
-      }
-    }
-    for (const char* want : schema) {
-      if (fields_.find(want) == fields_.end()) {
-        throw ProtocolError("missing field '" + std::string(want) + "'");
-      }
-    }
-  }
-
-  const std::string& raw(const char* key) const { return fields_.at(key); }
-
-  std::uint64_t get_u64(const char* key) const {
-    const std::string& v = raw(key);
-    if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
-      throw ProtocolError("field '" + std::string(key) +
-                          "' is not an unsigned integer: '" + v + "'");
-    }
-    errno = 0;
-    const std::uint64_t out = std::strtoull(v.c_str(), nullptr, 10);
-    if (errno == ERANGE) {
-      throw ProtocolError("field '" + std::string(key) + "' overflows: '" +
-                          v + "'");
-    }
-    return out;
-  }
-
-  double get_double(const char* key) const {
-    const std::string& v = raw(key);
-    char* end = nullptr;
-    const double out = std::strtod(v.c_str(), &end);
-    if (v.empty() || end != v.c_str() + v.size() || !std::isfinite(out)) {
-      throw ProtocolError("field '" + std::string(key) +
-                          "' is not a finite number: '" + v + "'");
-    }
-    return out;
-  }
-
-  double get_double_in(const char* key, double lo, double hi) const {
-    const double out = get_double(key);
-    if (out < lo || out > hi) {
-      throw ProtocolError("field '" + std::string(key) + "' = " +
-                          fmt_double(out) + " outside [" + fmt_double(lo) +
-                          ", " + fmt_double(hi) + "]");
-    }
-    return out;
-  }
-
-  bool get_bool(const char* key) const {
-    const std::string& v = raw(key);
-    if (v == "0") return false;
-    if (v == "1") return true;
-    throw ProtocolError("field '" + std::string(key) + "' is not 0/1: '" + v +
-                        "'");
-  }
-
-  int get_int(const char* key, int lo, int hi) const {
-    const double v = get_double_in(key, lo, hi);
-    if (v != std::floor(v)) {
-      throw ProtocolError("field '" + std::string(key) +
-                          "' is not an integer: '" + raw(key) + "'");
-    }
-    return static_cast<int>(v);
-  }
-
- private:
-  std::map<std::string, std::string> fields_;
+template <class Enum>
+struct Name {
+  Enum value;
+  const char* name;
+  /// MessageType only: the volatile scrape channel (13..18), kept out of
+  /// replay and transcripts.  The margin batch after it is science again.
+  bool scrape = false;
 };
 
-Status parse_status_value(std::string_view v) {
-  if (v == "ok") return Status::kOk;
-  if (v == "overloaded") return Status::kOverloaded;
-  if (v == "bad-request") return Status::kBadRequest;
-  if (v == "unknown-device") return Status::kUnknownDevice;
-  if (v == "shutting-down") return Status::kShuttingDown;
-  if (v == "too-old-to-replay") return Status::kTooOldToReplay;
-  throw ProtocolError("unknown status '" + std::string(v) + "'");
-}
-
-Status parse_status(const Doc& doc) { return parse_status_value(doc.raw("status")); }
-
-// --- Scrape-channel codec helpers ----------------------------------------
-// Metrics/profile responses carry grammars the strict Doc cannot express
-// (raw `key=value` text blocks, repeated `kernel` lines), so they parse
-// through an explicit line cursor with the same fail-on-anything-odd
-// posture.
-
-class LineCursor {
- public:
-  explicit LineCursor(std::string_view payload) : payload_(payload) {}
-
-  std::string_view next_line() {
-    if (pos_ >= payload_.size()) {
-      throw ProtocolError("payload ended before a required line");
-    }
-    const std::size_t eol = payload_.find('\n', pos_);
-    if (eol == std::string_view::npos) {
-      throw ProtocolError("payload line without newline terminator");
-    }
-    const std::string_view line = payload_.substr(pos_, eol - pos_);
-    pos_ = eol + 1;
-    return line;
-  }
-
-  /// Consume exactly `n` raw bytes (the length-prefixed text block).
-  std::string_view take(std::uint64_t n) {
-    if (payload_.size() - pos_ < n) {
-      throw ProtocolError("length-prefixed block truncated");
-    }
-    const std::string_view out = payload_.substr(pos_, n);
-    pos_ += n;
-    return out;
-  }
-
-  void expect_done() const {
-    if (pos_ != payload_.size()) {
-      throw ProtocolError("trailing bytes after the payload document");
-    }
-  }
-
- private:
-  std::string_view payload_;
-  std::size_t pos_ = 0;
+constexpr Name<MessageType> kTypeNames[] = {
+    {MessageType::kPingRequest, "ping-request"},
+    {MessageType::kPingResponse, "ping-response"},
+    {MessageType::kMarginRequest, "margin-request"},
+    {MessageType::kMarginResponse, "margin-response"},
+    {MessageType::kRejuvenationRequest, "rejuvenation-request"},
+    {MessageType::kRejuvenationResponse, "rejuvenation-response"},
+    {MessageType::kScheduleSleepRequest, "schedule-sleep-request"},
+    {MessageType::kScheduleSleepResponse, "schedule-sleep-response"},
+    {MessageType::kStatusRequest, "status-request"},
+    {MessageType::kStatusResponse, "status-response"},
+    {MessageType::kErrorResponse, "error-response"},
+    {MessageType::kMetricsRequest, "metrics-request", true},
+    {MessageType::kMetricsResponse, "metrics-response", true},
+    {MessageType::kProfileRequest, "profile-request", true},
+    {MessageType::kProfileResponse, "profile-response", true},
+    {MessageType::kHealthRequest, "health-request", true},
+    {MessageType::kHealthResponse, "health-response", true},
+    {MessageType::kMarginBatchRequest, "margin-batch-request"},
+    {MessageType::kMarginBatchResponse, "margin-batch-response"},
 };
 
-/// `<key> <value>` line → value, throwing when the key is wrong.
-std::string_view expect_key(std::string_view line, const char* key) {
-  const std::size_t key_len = std::strlen(key);
-  if (line.size() < key_len + 1 || line.substr(0, key_len) != key ||
-      line[key_len] != ' ') {
-    throw ProtocolError("expected '" + std::string(key) + "' line, got '" +
-                        std::string(line) + "'");
+constexpr Name<Status> kStatusNames[] = {
+    {Status::kOk, "ok"},
+    {Status::kOverloaded, "overloaded"},
+    {Status::kBadRequest, "bad-request"},
+    {Status::kUnknownDevice, "unknown-device"},
+    {Status::kShuttingDown, "shutting-down"},
+    {Status::kTooOldToReplay, "too-old-to-replay"},
+};
+
+/// A violation's `fleet.protocol.rejected.*` metric suffix is its name with
+/// '-' spelled '_' (the [a-z0-9_.]+ metric-name discipline).
+constexpr Name<ProtocolViolation> kViolationNames[] = {
+    {ProtocolViolation::kNone, "none"},
+    {ProtocolViolation::kBadMagic, "bad-magic"},
+    {ProtocolViolation::kBadVersion, "bad-version"},
+    {ProtocolViolation::kHostileLength, "hostile-length"},
+    {ProtocolViolation::kHeaderCrc, "header-crc"},
+    {ProtocolViolation::kPayloadCrc, "payload-crc"},
+    {ProtocolViolation::kUnknownType, "unknown-type"},
+    {ProtocolViolation::kTruncated, "truncated"},
+    {ProtocolViolation::kTrailingGarbage, "trailing-garbage"},
+};
+
+template <class Enum, std::size_t N>
+const Name<Enum>* lookup(const Name<Enum> (&names)[N], Enum value) {
+  for (const Name<Enum>& n : names) {
+    if (n.value == value) return &n;
   }
-  return line.substr(key_len + 1);
+  return nullptr;  // e.g. message type 12, deliberately unassigned
 }
 
-std::uint64_t parse_u64_value(std::string_view v, const char* key) {
-  if (v.empty() ||
-      v.find_first_not_of("0123456789") != std::string_view::npos) {
-    throw ProtocolError("field '" + std::string(key) +
-                        "' is not an unsigned integer: '" + std::string(v) +
-                        "'");
-  }
-  errno = 0;
-  const std::uint64_t out = std::strtoull(std::string(v).c_str(), nullptr, 10);
-  if (errno == ERANGE) {
-    throw ProtocolError("field '" + std::string(key) + "' overflows: '" +
-                        std::string(v) + "'");
-  }
-  return out;
-}
-
-/// A non-negative duration field (hostile negative horizons rejected).
-Seconds get_seconds(const Doc& doc, const char* key) {
-  return Seconds{doc.get_double_in(key, 0.0, 1e18)};
-}
-
-/// A finite double row token (the Doc::get_double discipline, outside the
-/// strict key/value grammar).
-double parse_double_value(std::string_view v, const char* key) {
-  const std::string text(v);
-  char* end = nullptr;
-  const double out = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size() ||
-      !std::isfinite(out)) {
-    throw ProtocolError("field '" + std::string(key) +
-                        "' is not a finite number: '" + text + "'");
-  }
-  return out;
+template <class Enum, std::size_t N>
+const char* name_of(const Name<Enum> (&names)[N], Enum value) {
+  const Name<Enum>* n = lookup(names, value);
+  return n != nullptr ? n->name : "unknown";
 }
 
 }  // namespace
 
-const char* to_string(MessageType type) {
-  switch (type) {
-    case MessageType::kPingRequest: return "ping-request";
-    case MessageType::kPingResponse: return "ping-response";
-    case MessageType::kMarginRequest: return "margin-request";
-    case MessageType::kMarginResponse: return "margin-response";
-    case MessageType::kRejuvenationRequest: return "rejuvenation-request";
-    case MessageType::kRejuvenationResponse: return "rejuvenation-response";
-    case MessageType::kScheduleSleepRequest: return "schedule-sleep-request";
-    case MessageType::kScheduleSleepResponse: return "schedule-sleep-response";
-    case MessageType::kStatusRequest: return "status-request";
-    case MessageType::kStatusResponse: return "status-response";
-    case MessageType::kErrorResponse: return "error-response";
-    case MessageType::kMetricsRequest: return "metrics-request";
-    case MessageType::kMetricsResponse: return "metrics-response";
-    case MessageType::kProfileRequest: return "profile-request";
-    case MessageType::kProfileResponse: return "profile-response";
-    case MessageType::kHealthRequest: return "health-request";
-    case MessageType::kHealthResponse: return "health-response";
-    case MessageType::kMarginBatchRequest: return "margin-batch-request";
-    case MessageType::kMarginBatchResponse: return "margin-batch-response";
-  }
-  return "unknown";
+const char* to_string(MessageType type) { return name_of(kTypeNames, type); }
+const char* to_string(Status status) { return name_of(kStatusNames, status); }
+const char* to_string(ProtocolViolation violation) {
+  return name_of(kViolationNames, violation);
 }
 
 bool known_message_type(std::uint32_t raw) {
-  // 12 is deliberately unassigned (the odd/even request/response pairing
-  // skips over kErrorResponse = 11).
-  return (raw >= static_cast<std::uint32_t>(MessageType::kPingRequest) &&
-          raw <= static_cast<std::uint32_t>(MessageType::kErrorResponse)) ||
-         (raw >= static_cast<std::uint32_t>(MessageType::kMetricsRequest) &&
-          raw <= static_cast<std::uint32_t>(MessageType::kMarginBatchResponse));
+  return lookup(kTypeNames, static_cast<MessageType>(raw)) != nullptr;
 }
 
 bool volatile_message_type(MessageType type) {
-  // The scrape channel is the explicit 13..18 block, not "13 and up":
-  // types past it (the margin batch) are deterministic science queries
-  // again and must stay inside the transcript-identity machinery.
-  const auto raw = static_cast<std::uint32_t>(type);
-  return raw >= static_cast<std::uint32_t>(MessageType::kMetricsRequest) &&
-         raw <= static_cast<std::uint32_t>(MessageType::kHealthResponse);
+  const Name<MessageType>* n = lookup(kTypeNames, type);
+  return n != nullptr && n->scrape;
 }
-
-const char* to_string(ProtocolViolation violation) {
-  switch (violation) {
-    case ProtocolViolation::kNone: return "none";
-    case ProtocolViolation::kBadMagic: return "bad-magic";
-    case ProtocolViolation::kBadVersion: return "bad-version";
-    case ProtocolViolation::kHostileLength: return "hostile-length";
-    case ProtocolViolation::kHeaderCrc: return "header-crc";
-    case ProtocolViolation::kPayloadCrc: return "payload-crc";
-    case ProtocolViolation::kUnknownType: return "unknown-type";
-    case ProtocolViolation::kTruncated: return "truncated";
-    case ProtocolViolation::kTrailingGarbage: return "trailing-garbage";
-    case ProtocolViolation::kCount: break;
-  }
-  return "unknown";
-}
-
-namespace {
-
-/// Metric-name suffix for a violation class ([a-z0-9_.]+ discipline).
-const char* metric_suffix(ProtocolViolation violation) {
-  switch (violation) {
-    case ProtocolViolation::kBadMagic: return "bad_magic";
-    case ProtocolViolation::kBadVersion: return "bad_version";
-    case ProtocolViolation::kHostileLength: return "hostile_length";
-    case ProtocolViolation::kHeaderCrc: return "header_crc";
-    case ProtocolViolation::kPayloadCrc: return "payload_crc";
-    case ProtocolViolation::kUnknownType: return "unknown_type";
-    case ProtocolViolation::kTruncated: return "truncated";
-    case ProtocolViolation::kTrailingGarbage: return "trailing_garbage";
-    case ProtocolViolation::kNone:
-    case ProtocolViolation::kCount: break;
-  }
-  return "unknown";
-}
-
-}  // namespace
 
 void ProtocolTallies::count(ProtocolViolation violation) {
   rejected_[static_cast<std::size_t>(violation)].fetch_add(
@@ -401,11 +201,11 @@ void ProtocolTallies::publish(obs::Registry& registry,
                               std::string_view prefix) const {
   const std::string p(prefix);
   registry.counter(p + "frames_decoded").set(decoded());
-  for (std::size_t i = 1;
-       i < static_cast<std::size_t>(ProtocolViolation::kCount); ++i) {
-    const auto violation = static_cast<ProtocolViolation>(i);
-    registry.counter(p + "rejected." + metric_suffix(violation))
-        .set(rejected(violation));
+  for (const Name<ProtocolViolation>& v : kViolationNames) {
+    if (v.value == ProtocolViolation::kNone) continue;
+    std::string suffix = v.name;
+    std::replace(suffix.begin(), suffix.end(), '-', '_');
+    registry.counter(p + "rejected." + suffix).set(rejected(v.value));
   }
   registry.counter(p + "rejected.total").set(rejected_total());
 }
@@ -420,17 +220,6 @@ ProtocolTallies& protocol_tallies() {
   return tallies;
 }
 
-const char* to_string(Status status) {
-  switch (status) {
-    case Status::kOk: return "ok";
-    case Status::kOverloaded: return "overloaded";
-    case Status::kBadRequest: return "bad-request";
-    case Status::kUnknownDevice: return "unknown-device";
-    case Status::kShuttingDown: return "shutting-down";
-    case Status::kTooOldToReplay: return "too-old-to-replay";
-  }
-  return "unknown";
-}
 
 std::string frame_message(MessageType type, std::uint64_t request_id,
                           std::string_view payload) {
@@ -511,433 +300,485 @@ std::optional<Frame> FrameReader::next() {
 }
 
 // -------------------------------------------------------------------------
-// Payload codecs.
+// Payload documents.  Each message lists its fields once, in a table of
+// (wire key, member, value kind); one encoder and one forward-only parser
+// walk that table, so the two directions cannot drift apart.  A document is
+// the table's `key value` lines in table order: a missing, repeated,
+// reordered, unknown or trailing line is rejected, as is any value outside
+// its kind.  Hostile payloads with a valid CRC (an attacker can compute
+// CRCs) die here, field by field.
 // -------------------------------------------------------------------------
 
-std::string PingRequest::encode() const { return {}; }
+namespace {
 
+/// Closed range a numeric field must lie in.
+struct Bounds {
+  double lo;
+  double hi;
+};
+constexpr Bounds kFinite{-std::numeric_limits<double>::max(),
+                         std::numeric_limits<double>::max()};
+/// Durations are non-negative: hostile negative horizons are rejected.
+constexpr Bounds kDuration{0.0, 1e18};
+constexpr Bounds kDuty{0.0, 1.0};
+constexpr Bounds kVdd{-5.0, 5.0};
+constexpr Bounds kTemp{-273.15, 300.0};
+
+/// The scalar value kinds, one per member type: u64 (decimal digits), bool
+/// (0/1), int (an integral number within bounds), double or strong unit
+/// (finite, within bounds, %.17g), Status (its name) and text (the rest of
+/// the line, '-' standing for the empty string).  `Blocks` adds the
+/// multi-line kinds a message, but not a row, may hold.
+template <class T, class... Blocks>
+using Kinds = std::variant<std::uint64_t T::*, bool T::*, int T::*,
+                           double T::*, Volts T::*, Celsius T::*,
+                           Seconds T::*, Status T::*, std::string T::*,
+                           Blocks...>;
+
+template <class T, class Member>
+struct Entry {
+  std::string_view key;
+  Member member;
+  Bounds bounds = kFinite;
+};
+
+/// Counted rows: `<key> <count>` (count <= cap), then `count` lines of
+/// `<row_key>` and the row's columns (its kFields), space-separated; a bare
+/// id is its own single column.
+template <class T, class Row>
+struct Rows {
+  std::vector<Row> T::*member;
+  std::string_view row_key;
+  std::uint64_t cap;
+};
+
+/// Length-prefixed block: `<key> <size>`, then exactly `size` raw bytes
+/// (metric lines use '=' and blank lines, outside the `key value` grammar).
+template <class T>
+struct Bytes {
+  std::string T::*member;
+};
+
+template <class T>
+using Field = Entry<T, Kinds<T, Bytes<T>, Rows<T, std::uint64_t>,
+                             Rows<T, MarginBatchRow>, Rows<T, ProfileEntry>>>;
+/// A row column; its key names it in error messages only.
+template <class Row>
+using Column = Entry<Row, Kinds<Row>>;
+
+/// The field table of message T (of row T: its columns).  The primary
+/// table is empty: ping, status, profile and health requests and the ping
+/// response accept only the empty document.
+template <class T>
+constexpr std::array<Field<T>, 0> kFields{};
+
+/// %.17g: the shortest printf format that round-trips every finite double
+/// bit-exactly — transcript comparisons are byte comparisons because of it.
+std::string fmt_double(double v) { return strformat("%.17g", v); }
+
+/// At most 40 bytes of one line of hostile input, quoted: the error reply
+/// must stay far below the frame cap however long the offending input was,
+/// and its message must stay one line of its own document.
+std::string quote(std::string_view text) {
+  constexpr std::size_t kQuoteBytes = 40;
+  const std::string_view head =
+      text.substr(0, std::min(text.find('\n'), kQuoteBytes));
+  return "'" + std::string(head) + (head.size() < text.size() ? "...'" : "'");
+}
+
+[[noreturn]] void bad_field(std::string_view key, const std::string& what) {
+  throw ProtocolError("field '" + std::string(key) + "' " + what);
+}
+
+void put_value(std::string& out, std::uint64_t v) { out += std::to_string(v); }
+void put_value(std::string& out, int v) { out += std::to_string(v); }
+void put_value(std::string& out, bool v) { out += v ? '1' : '0'; }
+void put_value(std::string& out, double v) { out += fmt_double(v); }
+template <class Tag>
+void put_value(std::string& out, units::detail::Quantity<Tag> v) {
+  out += fmt_double(v.value());
+}
+void put_value(std::string& out, Status v) { out += to_string(v); }
+void put_value(std::string& out, const std::string& v) {
+  out += v.empty() ? std::string_view("-") : std::string_view(v);
+}
+
+void get_value(std::string_view v, std::string_view key, Bounds,
+               std::uint64_t& out) {
+  const char* end = v.data() + v.size();
+  const auto [stop, ec] = std::from_chars(v.data(), end, out);
+  if (ec != std::errc() || stop != end) {
+    bad_field(key, "is not an unsigned 64-bit integer: " + quote(v));
+  }
+}
+
+/// Finite numbers within bounds: raw doubles, strong units and ints (the
+/// u64, bool, Status and text overloads are exact matches and win).
+template <class V>
+void get_value(std::string_view v, std::string_view key, Bounds bounds,
+               V& out) {
+  const std::string text(v);
+  char* end = nullptr;
+  const double raw = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() ||
+      !std::isfinite(raw)) {
+    bad_field(key, "is not a finite number: " + quote(v));
+  }
+  if (raw < bounds.lo || raw > bounds.hi) {
+    bad_field(key, "= " + fmt_double(raw) + " outside [" +
+                       fmt_double(bounds.lo) + ", " + fmt_double(bounds.hi) +
+                       "]");
+  }
+  if constexpr (std::is_same_v<V, int>) {
+    if (raw != std::floor(raw)) {
+      bad_field(key, "is not an integer: " + quote(v));
+    }
+    out = static_cast<int>(raw);
+  } else {
+    out = V{raw};
+  }
+}
+
+void get_value(std::string_view v, std::string_view key, Bounds, bool& out) {
+  if (v != "0" && v != "1") bad_field(key, "is not 0/1: " + quote(v));
+  out = v == "1";
+}
+
+void get_value(std::string_view v, std::string_view, Bounds, Status& out) {
+  for (const Name<Status>& n : kStatusNames) {
+    if (v == n.name) {
+      out = n.value;
+      return;
+    }
+  }
+  throw ProtocolError("unknown status " + quote(v));
+}
+
+void get_value(std::string_view v, std::string_view, Bounds,
+               std::string& out) {
+  out = v == "-" ? std::string() : std::string(v);
+}
+
+/// Forward-only cursor: consume the next line of `rest`, which must read
+/// `<key> <value>`, and return the value.
+std::string_view next_value(std::string_view& rest, std::string_view key) {
+  const std::size_t eol = rest.find('\n');
+  const std::string_view line = rest.substr(0, eol);
+  if (eol == std::string_view::npos || !line.starts_with(key) ||
+      line.size() == key.size() || line[key.size()] != ' ') {
+    throw ProtocolError("expected a '" + std::string(key) +
+                        " <value>' line, got " + quote(line));
+  }
+  rest.remove_prefix(eol + 1);
+  return line.substr(key.size() + 1);
+}
+
+template <class T, class V>
+void put(std::string& out, const T& msg, V T::*member) {
+  put_value(out, msg.*member);
+  out += '\n';
+}
+
+template <class T>
+void put(std::string& out, const T& msg, const Bytes<T>& bytes) {
+  const std::string& text = msg.*bytes.member;
+  out += std::to_string(text.size()) + '\n' + text;
+}
+
+template <class T, class Row>
+void put(std::string& out, const T& msg, const Rows<T, Row>& rows) {
+  put_value(out, std::uint64_t{(msg.*rows.member).size()});
+  out += '\n';
+  for (const Row& row : msg.*rows.member) {
+    out += rows.row_key;
+    if constexpr (std::is_class_v<Row>) {
+      for (const Column<Row>& c : kFields<Row>) {
+        out += ' ';
+        std::visit([&](auto m) { put_value(out, row.*m); }, c.member);
+      }
+    } else {
+      out += ' ';
+      put_value(out, row);
+    }
+    out += '\n';
+  }
+}
+
+template <class T, class V>
+void get(std::string_view& rest, const Field<T>& f, T& msg, V T::*member) {
+  get_value(next_value(rest, f.key), f.key, f.bounds, msg.*member);
+}
+
+template <class T>
+void get(std::string_view& rest, const Field<T>& f, T& msg,
+         const Bytes<T>& bytes) {
+  std::uint64_t size = 0;
+  get_value(next_value(rest, f.key), f.key, kFinite, size);
+  if (rest.size() < size) bad_field(f.key, "block truncated");
+  msg.*bytes.member = std::string(rest.substr(0, size));
+  rest.remove_prefix(size);
+}
+
+template <class T, class Row>
+void get(std::string_view& rest, const Field<T>& f, T& msg,
+         const Rows<T, Row>& rows) {
+  std::uint64_t count = 0;
+  get_value(next_value(rest, f.key), f.key, kFinite, count);
+  if (count > rows.cap) {
+    bad_field(f.key, "declares a hostile " + std::to_string(count) +
+                         " rows (cap " + std::to_string(rows.cap) + ")");
+  }
+  (msg.*rows.member).resize(count);
+  for (Row& row : msg.*rows.member) {
+    std::string_view line = next_value(rest, rows.row_key);
+    if constexpr (std::is_class_v<Row>) {
+      // Columns split at single spaces; the last one takes the rest.
+      for (const Column<Row>& c : kFields<Row>) {
+        const bool last = &c == std::end(kFields<Row>) - 1;
+        const std::size_t end = last ? line.size() : line.find(' ');
+        if (end == 0 || end == std::string_view::npos) {
+          bad_field(c.key, "missing from row " + quote(line));
+        }
+        const std::string_view token = line.substr(0, end);
+        line.remove_prefix(last ? end : end + 1);
+        std::visit([&](auto m) { get_value(token, c.key, c.bounds, row.*m); },
+                   c.member);
+      }
+    } else {
+      get_value(line, rows.row_key, kFinite, row);
+    }
+  }
+}
+
+template <class T>
+std::string encode_doc(const T& msg) {
+  std::string out;
+  for (const Field<T>& f : kFields<T>) {
+    out.append(f.key) += ' ';
+    std::visit([&](const auto& m) { put(out, msg, m); }, f.member);
+  }
+  return out;
+}
+
+template <class T>
+T parse_doc(std::string_view payload) {
+  T msg;
+  for (const Field<T>& f : kFields<T>) {
+    std::visit([&](const auto& m) { get(payload, f, msg, m); }, f.member);
+  }
+  if (!payload.empty()) {
+    throw ProtocolError("trailing bytes after the payload document: " +
+                        quote(payload));
+  }
+  return msg;
+}
+
+template <>
+constexpr Field<MarginRequest> kFields<MarginRequest>[] = {
+    {"device", &MarginRequest::device_id},
+    {"duty", &MarginRequest::duty, kDuty},
+    {"vdd_v", &MarginRequest::vdd, kVdd},
+    {"temp_c", &MarginRequest::temp, kTemp},
+    {"horizon_s", &MarginRequest::horizon, kDuration},
+};
+
+template <>
+constexpr Field<MarginResponse> kFields<MarginResponse>[] = {
+    {"status", &MarginResponse::status},
+    {"crosses", &MarginResponse::crosses},
+    {"time_to_margin_s", &MarginResponse::time_to_margin, kDuration},
+    {"delta_vth_v", &MarginResponse::delta_vth},
+    {"margin_v", &MarginResponse::margin},
+};
+
+template <>
+constexpr Field<MarginBatchRequest> kFields<MarginBatchRequest>[] = {
+    {"duty", &MarginBatchRequest::duty, kDuty},
+    {"vdd_v", &MarginBatchRequest::vdd, kVdd},
+    {"temp_c", &MarginBatchRequest::temp, kTemp},
+    {"horizon_s", &MarginBatchRequest::horizon, kDuration},
+    {"devices", Rows<MarginBatchRequest, std::uint64_t>{
+                    &MarginBatchRequest::device_ids, "device",
+                    kMaxMarginBatchDevices}},
+};
+
+template <>
+constexpr Column<MarginBatchRow> kFields<MarginBatchRow>[] = {
+    {"device", &MarginBatchRow::device_id},
+    {"crosses", &MarginBatchRow::crosses},
+    {"time_to_margin_s", &MarginBatchRow::time_to_margin, kDuration},
+    {"delta_vth_v", &MarginBatchRow::delta_vth},
+};
+
+template <>
+constexpr Field<MarginBatchResponse> kFields<MarginBatchResponse>[] = {
+    {"status", &MarginBatchResponse::status},
+    {"margin_v", &MarginBatchResponse::margin},
+    {"rows", Rows<MarginBatchResponse, MarginBatchRow>{
+                 &MarginBatchResponse::rows, "row", kMaxMarginBatchDevices}},
+};
+
+template <>
+constexpr Field<RejuvenationRequest> kFields<RejuvenationRequest>[] = {
+    {"epoch_s", &RejuvenationRequest::epoch, kDuration},
+};
+
+template <>
+constexpr Field<RejuvenationResponse> kFields<RejuvenationResponse>[] = {
+    {"status", &RejuvenationResponse::status},
+    {"any", &RejuvenationResponse::any},
+    {"shard", &RejuvenationResponse::shard_id, {-1.0, 1 << 20}},
+    {"degradation", &RejuvenationResponse::degradation},
+};
+
+template <>
+constexpr Field<ScheduleSleepRequest> kFields<ScheduleSleepRequest>[] = {
+    {"client", &ScheduleSleepRequest::client_id},
+    {"device", &ScheduleSleepRequest::device_id},
+    {"start_s", &ScheduleSleepRequest::start, kDuration},
+    {"duration_s", &ScheduleSleepRequest::duration, kDuration},
+};
+
+template <>
+constexpr Field<ScheduleSleepResponse> kFields<ScheduleSleepResponse>[] = {
+    {"status", &ScheduleSleepResponse::status},
+    {"newly_applied", &ScheduleSleepResponse::newly_applied},
+    {"windows", &ScheduleSleepResponse::windows},
+};
+
+template <>
+constexpr Field<StatusResponse> kFields<StatusResponse>[] = {
+    {"status", &StatusResponse::status},
+    {"devices", &StatusResponse::devices},
+    {"windows", &StatusResponse::windows},
+    {"sequence", &StatusResponse::sequence},
+    {"draining", &StatusResponse::draining},
+};
+
+template <>
+constexpr Field<ErrorResponse> kFields<ErrorResponse>[] = {
+    {"status", &ErrorResponse::status},
+    {"message", &ErrorResponse::message},  // the rest of the line, spaces too
+};
+
+template <>
+constexpr Field<MetricsRequest> kFields<MetricsRequest>[] = {
+    {"prefix", &MetricsRequest::prefix},  // metric names never contain '-'
+};
+
+template <>
+constexpr Field<MetricsResponse> kFields<MetricsResponse>[] = {
+    {"status", &MetricsResponse::status},
+    {"bytes", Bytes<MetricsResponse>{&MetricsResponse::text}},
+};
+
+/// Kernel names are dotted identifiers without spaces, so a row tokenizes
+/// unambiguously.
+template <>
+constexpr Column<ProfileEntry> kFields<ProfileEntry>[] = {
+    {"kernel", &ProfileEntry::kernel},
+    {"calls", &ProfileEntry::calls},
+    {"total_ns", &ProfileEntry::total_ns},
+};
+
+template <>
+constexpr Field<ProfileResponse> kFields<ProfileResponse>[] = {
+    {"status", &ProfileResponse::status},
+    {"profiling", &ProfileResponse::profiling},
+    {"kernels", Rows<ProfileResponse, ProfileEntry>{&ProfileResponse::kernels,
+                                                    "kernel", 4096}},
+};
+
+template <>
+constexpr Field<HealthResponse> kFields<HealthResponse>[] = {
+    {"status", &HealthResponse::status},
+    {"poll_iterations", &HealthResponse::poll_iterations},
+    {"connections", &HealthResponse::connections},
+    {"connections_high_water", &HealthResponse::connections_high_water},
+    {"queue_depth_high_water", &HealthResponse::queue_depth_high_water},
+    {"requests", &HealthResponse::requests},
+    {"shed", &HealthResponse::shed},
+    {"snapshot_lag", &HealthResponse::snapshot_lag},
+    {"draining", &HealthResponse::draining},
+};
+
+}  // namespace
+
+std::string PingRequest::encode() const { return encode_doc(*this); }
 PingRequest PingRequest::parse(std::string_view payload) {
-  (void)Doc(payload, {});
-  return {};
+  return parse_doc<PingRequest>(payload);
 }
-
-std::string PingResponse::encode() const { return {}; }
-
+std::string PingResponse::encode() const { return encode_doc(*this); }
 PingResponse PingResponse::parse(std::string_view payload) {
-  (void)Doc(payload, {});
-  return {};
+  return parse_doc<PingResponse>(payload);
 }
-
-std::string MarginRequest::encode() const {
-  std::string out;
-  put_field(out, "device", std::to_string(device_id));
-  put_field(out, "duty", fmt_double(duty));
-  put_field(out, "vdd_v", fmt_double(vdd.value()));
-  put_field(out, "temp_c", fmt_double(temp.value()));
-  put_field(out, "horizon_s", fmt_double(horizon.value()));
-  return out;
-}
-
+std::string MarginRequest::encode() const { return encode_doc(*this); }
 MarginRequest MarginRequest::parse(std::string_view payload) {
-  const Doc doc(payload, {"device", "duty", "vdd_v", "temp_c", "horizon_s"});
-  MarginRequest out;
-  out.device_id = doc.get_u64("device");
-  out.duty = doc.get_double_in("duty", 0.0, 1.0);
-  out.vdd = Volts{doc.get_double_in("vdd_v", -5.0, 5.0)};
-  out.temp = Celsius{doc.get_double_in("temp_c", -273.15, 300.0)};
-  out.horizon = get_seconds(doc, "horizon_s");
-  return out;
+  return parse_doc<MarginRequest>(payload);
 }
-
-std::string MarginResponse::encode() const {
-  std::string out;
-  put_field(out, "status", to_string(status));
-  put_field(out, "crosses", crosses ? "1" : "0");
-  put_field(out, "time_to_margin_s", fmt_double(time_to_margin.value()));
-  put_field(out, "delta_vth_v", fmt_double(delta_vth.value()));
-  put_field(out, "margin_v", fmt_double(margin.value()));
-  return out;
-}
-
+std::string MarginResponse::encode() const { return encode_doc(*this); }
 MarginResponse MarginResponse::parse(std::string_view payload) {
-  const Doc doc(payload, {"status", "crosses", "time_to_margin_s",
-                          "delta_vth_v", "margin_v"});
-  MarginResponse out;
-  out.status = parse_status(doc);
-  out.crosses = doc.get_bool("crosses");
-  out.time_to_margin = get_seconds(doc, "time_to_margin_s");
-  out.delta_vth = Volts{doc.get_double("delta_vth_v")};
-  out.margin = Volts{doc.get_double("margin_v")};
-  return out;
+  return parse_doc<MarginResponse>(payload);
 }
-
-std::string MarginBatchRequest::encode() const {
-  std::string out;
-  put_field(out, "duty", fmt_double(duty));
-  put_field(out, "vdd_v", fmt_double(vdd.value()));
-  put_field(out, "temp_c", fmt_double(temp.value()));
-  put_field(out, "horizon_s", fmt_double(horizon.value()));
-  put_field(out, "devices", std::to_string(device_ids.size()));
-  for (std::uint64_t id : device_ids) {
-    put_field(out, "device", std::to_string(id));
-  }
-  return out;
-}
-
+std::string MarginBatchRequest::encode() const { return encode_doc(*this); }
 MarginBatchRequest MarginBatchRequest::parse(std::string_view payload) {
-  // Repeated `device` rows put this payload outside the strict Doc
-  // grammar; the line cursor applies the same fail-on-anything-odd
-  // posture (ProfileResponse's codec shape).
-  LineCursor cursor(payload);
-  MarginBatchRequest out;
-  const double duty =
-      parse_double_value(expect_key(cursor.next_line(), "duty"), "duty");
-  if (duty < 0.0 || duty > 1.0) {
-    throw ProtocolError("field 'duty' = " + fmt_double(duty) +
-                        " outside [0, 1]");
-  }
-  out.duty = duty;
-  const double vdd =
-      parse_double_value(expect_key(cursor.next_line(), "vdd_v"), "vdd_v");
-  if (vdd < -5.0 || vdd > 5.0) {
-    throw ProtocolError("field 'vdd_v' = " + fmt_double(vdd) +
-                        " outside [-5, 5]");
-  }
-  out.vdd = Volts{vdd};
-  const double temp =
-      parse_double_value(expect_key(cursor.next_line(), "temp_c"), "temp_c");
-  if (temp < -273.15 || temp > 300.0) {
-    throw ProtocolError("field 'temp_c' = " + fmt_double(temp) +
-                        " outside [-273.15, 300]");
-  }
-  out.temp = Celsius{temp};
-  const double horizon = parse_double_value(
-      expect_key(cursor.next_line(), "horizon_s"), "horizon_s");
-  if (horizon < 0.0 || horizon > 1e18) {
-    throw ProtocolError("field 'horizon_s' = " + fmt_double(horizon) +
-                        " outside [0, 1e18]");
-  }
-  out.horizon = Seconds{horizon};
-  const std::uint64_t rows =
-      parse_u64_value(expect_key(cursor.next_line(), "devices"), "devices");
-  if (rows > kMaxMarginBatchDevices) {
-    throw ProtocolError("hostile device row count " + std::to_string(rows));
-  }
-  out.device_ids.reserve(rows);
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    out.device_ids.push_back(parse_u64_value(
-        expect_key(cursor.next_line(), "device"), "device"));
-  }
-  cursor.expect_done();
-  return out;
+  return parse_doc<MarginBatchRequest>(payload);
 }
-
-std::string MarginBatchResponse::encode() const {
-  std::string out;
-  put_field(out, "status", to_string(status));
-  put_field(out, "margin_v", fmt_double(margin.value()));
-  put_field(out, "rows", std::to_string(rows.size()));
-  for (const MarginBatchRow& r : rows) {
-    put_field(out, "row",
-              std::to_string(r.device_id) + ' ' + (r.crosses ? "1" : "0") +
-                  ' ' + fmt_double(r.time_to_margin.value()) + ' ' +
-                  fmt_double(r.delta_vth.value()));
-  }
-  return out;
-}
-
+std::string MarginBatchResponse::encode() const { return encode_doc(*this); }
 MarginBatchResponse MarginBatchResponse::parse(std::string_view payload) {
-  LineCursor cursor(payload);
-  MarginBatchResponse out;
-  out.status = parse_status_value(expect_key(cursor.next_line(), "status"));
-  out.margin = Volts{parse_double_value(
-      expect_key(cursor.next_line(), "margin_v"), "margin_v")};
-  const std::uint64_t rows =
-      parse_u64_value(expect_key(cursor.next_line(), "rows"), "rows");
-  if (rows > kMaxMarginBatchDevices) {
-    throw ProtocolError("hostile margin row count " + std::to_string(rows));
-  }
-  out.rows.reserve(rows);
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    std::string_view row = expect_key(cursor.next_line(), "row");
-    const std::size_t s1 = row.find(' ');
-    const std::size_t s2 =
-        s1 == std::string_view::npos ? s1 : row.find(' ', s1 + 1);
-    const std::size_t s3 =
-        s2 == std::string_view::npos ? s2 : row.find(' ', s2 + 1);
-    if (s1 == std::string_view::npos || s1 == 0 ||
-        s2 == std::string_view::npos || s3 == std::string_view::npos) {
-      throw ProtocolError("malformed margin row '" + std::string(row) + "'");
-    }
-    MarginBatchRow r;
-    r.device_id = parse_u64_value(row.substr(0, s1), "device");
-    const std::string_view crosses = row.substr(s1 + 1, s2 - s1 - 1);
-    if (crosses != "0" && crosses != "1") {
-      throw ProtocolError("field 'crosses' is not 0/1: '" +
-                          std::string(crosses) + "'");
-    }
-    r.crosses = crosses == "1";
-    const double ttm = parse_double_value(row.substr(s2 + 1, s3 - s2 - 1),
-                                          "time_to_margin_s");
-    if (ttm < 0.0 || ttm > 1e18) {
-      throw ProtocolError("field 'time_to_margin_s' = " + fmt_double(ttm) +
-                          " outside [0, 1e18]");
-    }
-    r.time_to_margin = Seconds{ttm};
-    r.delta_vth =
-        Volts{parse_double_value(row.substr(s3 + 1), "delta_vth_v")};
-    out.rows.push_back(r);
-  }
-  cursor.expect_done();
-  return out;
+  return parse_doc<MarginBatchResponse>(payload);
 }
-
-std::string RejuvenationRequest::encode() const {
-  std::string out;
-  put_field(out, "epoch_s", fmt_double(epoch.value()));
-  return out;
-}
-
+std::string RejuvenationRequest::encode() const { return encode_doc(*this); }
 RejuvenationRequest RejuvenationRequest::parse(std::string_view payload) {
-  const Doc doc(payload, {"epoch_s"});
-  RejuvenationRequest out;
-  out.epoch = get_seconds(doc, "epoch_s");
-  return out;
+  return parse_doc<RejuvenationRequest>(payload);
 }
-
-std::string RejuvenationResponse::encode() const {
-  std::string out;
-  put_field(out, "status", to_string(status));
-  put_field(out, "any", any ? "1" : "0");
-  put_field(out, "shard", std::to_string(shard_id));
-  put_field(out, "degradation", fmt_double(degradation));
-  return out;
-}
-
+std::string RejuvenationResponse::encode() const { return encode_doc(*this); }
 RejuvenationResponse RejuvenationResponse::parse(std::string_view payload) {
-  const Doc doc(payload, {"status", "any", "shard", "degradation"});
-  RejuvenationResponse out;
-  out.status = parse_status(doc);
-  out.any = doc.get_bool("any");
-  out.shard_id = doc.get_int("shard", -1, 1 << 20);
-  out.degradation = doc.get_double("degradation");
-  return out;
+  return parse_doc<RejuvenationResponse>(payload);
 }
-
-std::string ScheduleSleepRequest::encode() const {
-  std::string out;
-  put_field(out, "client", std::to_string(client_id));
-  put_field(out, "device", std::to_string(device_id));
-  put_field(out, "start_s", fmt_double(start.value()));
-  put_field(out, "duration_s", fmt_double(duration.value()));
-  return out;
-}
-
+std::string ScheduleSleepRequest::encode() const { return encode_doc(*this); }
 ScheduleSleepRequest ScheduleSleepRequest::parse(std::string_view payload) {
-  const Doc doc(payload, {"client", "device", "start_s", "duration_s"});
-  ScheduleSleepRequest out;
-  out.client_id = doc.get_u64("client");
-  out.device_id = doc.get_u64("device");
-  out.start = get_seconds(doc, "start_s");
-  out.duration = get_seconds(doc, "duration_s");
-  return out;
+  return parse_doc<ScheduleSleepRequest>(payload);
 }
-
-std::string ScheduleSleepResponse::encode() const {
-  std::string out;
-  put_field(out, "status", to_string(status));
-  put_field(out, "newly_applied", newly_applied ? "1" : "0");
-  put_field(out, "windows", std::to_string(windows));
-  return out;
-}
-
+std::string ScheduleSleepResponse::encode() const { return encode_doc(*this); }
 ScheduleSleepResponse ScheduleSleepResponse::parse(std::string_view payload) {
-  const Doc doc(payload, {"status", "newly_applied", "windows"});
-  ScheduleSleepResponse out;
-  out.status = parse_status(doc);
-  out.newly_applied = doc.get_bool("newly_applied");
-  out.windows = doc.get_u64("windows");
-  return out;
+  return parse_doc<ScheduleSleepResponse>(payload);
 }
-
-std::string StatusRequest::encode() const { return {}; }
-
+std::string StatusRequest::encode() const { return encode_doc(*this); }
 StatusRequest StatusRequest::parse(std::string_view payload) {
-  (void)Doc(payload, {});
-  return {};
+  return parse_doc<StatusRequest>(payload);
 }
-
-std::string StatusResponse::encode() const {
-  std::string out;
-  put_field(out, "status", to_string(status));
-  put_field(out, "devices", std::to_string(devices));
-  put_field(out, "windows", std::to_string(windows));
-  put_field(out, "sequence", std::to_string(sequence));
-  put_field(out, "draining", draining ? "1" : "0");
-  return out;
-}
-
+std::string StatusResponse::encode() const { return encode_doc(*this); }
 StatusResponse StatusResponse::parse(std::string_view payload) {
-  const Doc doc(payload,
-                {"status", "devices", "windows", "sequence", "draining"});
-  StatusResponse out;
-  out.status = parse_status(doc);
-  out.devices = doc.get_u64("devices");
-  out.windows = doc.get_u64("windows");
-  out.sequence = doc.get_u64("sequence");
-  out.draining = doc.get_bool("draining");
-  return out;
+  return parse_doc<StatusResponse>(payload);
 }
-
-std::string ErrorResponse::encode() const {
-  std::string out;
-  put_field(out, "status", to_string(status));
-  // The message may contain spaces; it is the whole rest of the line.
-  put_field(out, "message", message.empty() ? "-" : message);
-  return out;
-}
-
+std::string ErrorResponse::encode() const { return encode_doc(*this); }
 ErrorResponse ErrorResponse::parse(std::string_view payload) {
-  const Doc doc(payload, {"status", "message"});
-  ErrorResponse out;
-  out.status = parse_status(doc);
-  out.message = doc.raw("message");
-  return out;
+  return parse_doc<ErrorResponse>(payload);
 }
-
-// --- Volatile scrape channel ----------------------------------------------
-
-std::string MetricsRequest::encode() const {
-  std::string out;
-  // Metric names never contain '-', so "-" safely encodes "no filter".
-  put_field(out, "prefix", prefix.empty() ? "-" : prefix);
-  return out;
-}
-
+std::string MetricsRequest::encode() const { return encode_doc(*this); }
 MetricsRequest MetricsRequest::parse(std::string_view payload) {
-  const Doc doc(payload, {"prefix"});
-  MetricsRequest out;
-  out.prefix = doc.raw("prefix");
-  if (out.prefix == "-") out.prefix.clear();
-  return out;
+  return parse_doc<MetricsRequest>(payload);
 }
-
-std::string MetricsResponse::encode() const {
-  std::string out;
-  put_field(out, "status", to_string(status));
-  put_field(out, "bytes", std::to_string(text.size()));
-  out += text;
-  return out;
-}
-
+std::string MetricsResponse::encode() const { return encode_doc(*this); }
 MetricsResponse MetricsResponse::parse(std::string_view payload) {
-  LineCursor cursor(payload);
-  MetricsResponse out;
-  out.status = parse_status_value(expect_key(cursor.next_line(), "status"));
-  const std::uint64_t bytes =
-      parse_u64_value(expect_key(cursor.next_line(), "bytes"), "bytes");
-  out.text = std::string(cursor.take(bytes));
-  cursor.expect_done();
-  return out;
+  return parse_doc<MetricsResponse>(payload);
 }
-
-std::string ProfileRequest::encode() const { return {}; }
-
+std::string ProfileRequest::encode() const { return encode_doc(*this); }
 ProfileRequest ProfileRequest::parse(std::string_view payload) {
-  (void)Doc(payload, {});
-  return {};
+  return parse_doc<ProfileRequest>(payload);
 }
-
-std::string ProfileResponse::encode() const {
-  std::string out;
-  put_field(out, "status", to_string(status));
-  put_field(out, "profiling", profiling ? "1" : "0");
-  put_field(out, "kernels", std::to_string(kernels.size()));
-  for (const ProfileEntry& k : kernels) {
-    // Kernel names are dotted identifiers without spaces, so the row
-    // tokenizes unambiguously.
-    put_field(out, "kernel",
-              k.kernel + ' ' + std::to_string(k.calls) + ' ' +
-                  std::to_string(k.total_ns));
-  }
-  return out;
-}
-
+std::string ProfileResponse::encode() const { return encode_doc(*this); }
 ProfileResponse ProfileResponse::parse(std::string_view payload) {
-  LineCursor cursor(payload);
-  ProfileResponse out;
-  out.status = parse_status_value(expect_key(cursor.next_line(), "status"));
-  const std::string_view profiling =
-      expect_key(cursor.next_line(), "profiling");
-  if (profiling != "0" && profiling != "1") {
-    throw ProtocolError("field 'profiling' is not 0/1: '" +
-                        std::string(profiling) + "'");
-  }
-  out.profiling = profiling == "1";
-  const std::uint64_t rows =
-      parse_u64_value(expect_key(cursor.next_line(), "kernels"), "kernels");
-  if (rows > 4096) {
-    throw ProtocolError("hostile kernel row count " + std::to_string(rows));
-  }
-  out.kernels.reserve(rows);
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    std::string_view row = expect_key(cursor.next_line(), "kernel");
-    ProfileEntry entry;
-    const std::size_t s1 = row.find(' ');
-    const std::size_t s2 =
-        s1 == std::string_view::npos ? s1 : row.find(' ', s1 + 1);
-    if (s1 == std::string_view::npos || s1 == 0 ||
-        s2 == std::string_view::npos) {
-      throw ProtocolError("malformed kernel row '" + std::string(row) + "'");
-    }
-    entry.kernel = std::string(row.substr(0, s1));
-    entry.calls = parse_u64_value(row.substr(s1 + 1, s2 - s1 - 1), "calls");
-    entry.total_ns = parse_u64_value(row.substr(s2 + 1), "total_ns");
-    out.kernels.push_back(std::move(entry));
-  }
-  cursor.expect_done();
-  return out;
+  return parse_doc<ProfileResponse>(payload);
 }
-
-std::string HealthRequest::encode() const { return {}; }
-
+std::string HealthRequest::encode() const { return encode_doc(*this); }
 HealthRequest HealthRequest::parse(std::string_view payload) {
-  (void)Doc(payload, {});
-  return {};
+  return parse_doc<HealthRequest>(payload);
 }
-
-std::string HealthResponse::encode() const {
-  std::string out;
-  put_field(out, "status", to_string(status));
-  put_field(out, "poll_iterations", std::to_string(poll_iterations));
-  put_field(out, "connections", std::to_string(connections));
-  put_field(out, "connections_high_water",
-            std::to_string(connections_high_water));
-  put_field(out, "queue_depth_high_water",
-            std::to_string(queue_depth_high_water));
-  put_field(out, "requests", std::to_string(requests));
-  put_field(out, "shed", std::to_string(shed));
-  put_field(out, "snapshot_lag", std::to_string(snapshot_lag));
-  put_field(out, "draining", draining ? "1" : "0");
-  return out;
-}
-
+std::string HealthResponse::encode() const { return encode_doc(*this); }
 HealthResponse HealthResponse::parse(std::string_view payload) {
-  const Doc doc(payload,
-                {"status", "poll_iterations", "connections",
-                 "connections_high_water", "queue_depth_high_water",
-                 "requests", "shed", "snapshot_lag", "draining"});
-  HealthResponse out;
-  out.status = parse_status(doc);
-  out.poll_iterations = doc.get_u64("poll_iterations");
-  out.connections = doc.get_u64("connections");
-  out.connections_high_water = doc.get_u64("connections_high_water");
-  out.queue_depth_high_water = doc.get_u64("queue_depth_high_water");
-  out.requests = doc.get_u64("requests");
-  out.shed = doc.get_u64("shed");
-  out.snapshot_lag = doc.get_u64("snapshot_lag");
-  out.draining = doc.get_bool("draining");
-  return out;
+  return parse_doc<HealthResponse>(payload);
 }
 
 }  // namespace ash::fleet

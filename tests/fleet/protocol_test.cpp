@@ -2,12 +2,14 @@
 
 #include <array>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ash/obs/metrics.h"
 #include "ash/util/crc32.h"
+#include "ash/util/random.h"
 #include "ash/util/units.h"
 
 namespace ash::fleet {
@@ -287,6 +289,15 @@ TEST(PayloadCodec, AllResponseTypesRoundTrip) {
   EXPECT_EQ(too_old2.status, Status::kTooOldToReplay);
   EXPECT_EQ(too_old2.message, too_old.message);
   EXPECT_EQ(too_old2.encode(), too_old_bytes);
+
+  // An empty message travels as '-' and comes back empty, like an empty
+  // MetricsRequest prefix.
+  ErrorResponse empty;
+  empty.message.clear();
+  const std::string empty_bytes = empty.encode();
+  const ErrorResponse empty2 = ErrorResponse::parse(empty_bytes);
+  EXPECT_EQ(empty2.message, "");
+  EXPECT_EQ(empty2.encode(), empty_bytes);
 }
 
 TEST(PayloadCodec, StrictDocumentRejectsHostileShapes) {
@@ -586,6 +597,259 @@ TEST(ScrapeCodec, HealthRoundTrip) {
   EXPECT_NO_THROW(HealthRequest::parse(HealthRequest{}.encode()));
   EXPECT_THROW(HealthRequest::parse("junk 1\n"), ProtocolError);
   EXPECT_NO_THROW(ProfileRequest::parse(ProfileRequest{}.encode()));
+}
+
+// ---------------------------------------------------------------------------
+// Payload-codec mutation sweep: every message's canonical document, mutated
+// by a splitmix-seeded stream of byte flips, truncations, duplicated and
+// swapped lines and oversized counts.  Only ProtocolError may escape a
+// parse, and whatever parses re-encodes to a fixed point.
+// ---------------------------------------------------------------------------
+
+struct CodecCase {
+  MessageType type;
+  std::string canonical;
+  /// parse() then encode(): the codec round trip under test.
+  std::string (*reencode)(std::string_view);
+};
+
+template <class Message>
+std::string reencode(std::string_view payload) {
+  return Message::parse(payload).encode();
+}
+
+std::vector<CodecCase> codec_cases() {
+  MarginRequest margin;
+  margin.device_id = 17;
+  margin.duty = 0.1 + 0.2;
+  MarginResponse margin_resp;
+  margin_resp.crosses = true;
+  margin_resp.time_to_margin = Seconds{12345.6789};
+  MarginBatchRequest batch;
+  batch.device_ids = {0, 7, 3};
+  MarginBatchResponse batch_resp;
+  batch_resp.margin = Volts{12e-3};
+  batch_resp.rows = {{0, true, Seconds{123.25}, Volts{0.011}},
+                     {42, false, Seconds{3.15e8}, Volts{0.0005}}};
+  RejuvenationResponse rejuv;
+  rejuv.any = true;
+  rejuv.shard_id = 3;
+  rejuv.degradation = 0.25;
+  ScheduleSleepRequest sleep;
+  sleep.client_id = 42;
+  sleep.device_id = 5;
+  ScheduleSleepResponse sleep_resp;
+  sleep_resp.newly_applied = true;
+  sleep_resp.windows = 4;
+  StatusResponse status;
+  status.devices = 256;
+  status.draining = true;
+  ErrorResponse error;
+  error.message = "request queue full (8 admitted per tick)";
+  MetricsRequest metrics;
+  metrics.prefix = "fleet.service.";
+  MetricsResponse metrics_resp;
+  metrics_resp.text = "a.count=3\na.sum=0.25\n\nweird = line\n";
+  ProfileResponse profile;
+  profile.profiling = true;
+  profile.kernels = {{"bti.trap_ensemble.evolve", 12345, 6789012},
+                     {"mc.interval", 7, 42}};
+  HealthResponse health;
+  health.poll_iterations = 4096;
+  health.shed = 4;
+  return {
+      {MessageType::kPingRequest, PingRequest{}.encode(),
+       reencode<PingRequest>},
+      {MessageType::kPingResponse, PingResponse{}.encode(),
+       reencode<PingResponse>},
+      {MessageType::kMarginRequest, margin.encode(), reencode<MarginRequest>},
+      {MessageType::kMarginResponse, margin_resp.encode(),
+       reencode<MarginResponse>},
+      {MessageType::kMarginBatchRequest, batch.encode(),
+       reencode<MarginBatchRequest>},
+      {MessageType::kMarginBatchResponse, batch_resp.encode(),
+       reencode<MarginBatchResponse>},
+      {MessageType::kRejuvenationRequest, RejuvenationRequest{}.encode(),
+       reencode<RejuvenationRequest>},
+      {MessageType::kRejuvenationResponse, rejuv.encode(),
+       reencode<RejuvenationResponse>},
+      {MessageType::kScheduleSleepRequest, sleep.encode(),
+       reencode<ScheduleSleepRequest>},
+      {MessageType::kScheduleSleepResponse, sleep_resp.encode(),
+       reencode<ScheduleSleepResponse>},
+      {MessageType::kStatusRequest, StatusRequest{}.encode(),
+       reencode<StatusRequest>},
+      {MessageType::kStatusResponse, status.encode(),
+       reencode<StatusResponse>},
+      {MessageType::kErrorResponse, error.encode(), reencode<ErrorResponse>},
+      {MessageType::kMetricsRequest, metrics.encode(),
+       reencode<MetricsRequest>},
+      {MessageType::kMetricsResponse, metrics_resp.encode(),
+       reencode<MetricsResponse>},
+      {MessageType::kProfileRequest, ProfileRequest{}.encode(),
+       reencode<ProfileRequest>},
+      {MessageType::kProfileResponse, profile.encode(),
+       reencode<ProfileResponse>},
+      {MessageType::kHealthRequest, HealthRequest{}.encode(),
+       reencode<HealthRequest>},
+      {MessageType::kHealthResponse, health.encode(),
+       reencode<HealthResponse>},
+  };
+}
+
+/// Lines of a document, each keeping its '\n' (a torn last line keeps
+/// none), so joining them restores the bytes exactly.
+std::vector<std::string> split_lines(const std::string& doc) {
+  std::vector<std::string> lines;
+  std::size_t pos = 0;
+  while (pos < doc.size()) {
+    const std::size_t eol = doc.find('\n', pos);
+    const std::size_t end = eol == std::string::npos ? doc.size() : eol + 1;
+    lines.push_back(doc.substr(pos, end - pos));
+    pos = end;
+  }
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string doc;
+  for (const std::string& line : lines) doc += line;
+  return doc;
+}
+
+/// One random mutation of `doc`, drawn from `state`.
+std::string mutate(std::string doc, std::uint64_t& state) {
+  const auto pick = [&](std::size_t n) {
+    return n == 0 ? std::size_t{0}
+                  : static_cast<std::size_t>(splitmix64(state) % n);
+  };
+  std::vector<std::string> lines = split_lines(doc);
+  switch (pick(5)) {
+    case 0:  // byte flip
+      if (!doc.empty()) {
+        doc[pick(doc.size())] ^= static_cast<char>(1u << pick(8));
+      }
+      return doc;
+    case 1:  // truncation
+      doc.resize(pick(doc.size() + 1));
+      return doc;
+    case 2:  // duplicated line
+      if (!lines.empty()) {
+        const std::size_t i = pick(lines.size());
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(i), lines[i]);
+      }
+      return join_lines(lines);
+    case 3:  // swapped lines
+      if (!lines.empty()) {
+        std::swap(lines[pick(lines.size())], lines[pick(lines.size())]);
+      }
+      return join_lines(lines);
+    default: {  // oversized (or merely wrong) count in some line's value
+      static const char* const kCounts[] = {
+          "0", "1", "4", "4095", "4096", "4097", "18446744073709551615",
+          "18446744073709551616"};
+      if (lines.empty()) return doc;
+      std::string& line = lines[pick(lines.size())];
+      const std::size_t space = line.find(' ');
+      if (space == std::string::npos) return doc;
+      line = line.substr(0, space + 1) + kCounts[pick(std::size(kCounts))] +
+             (line.back() == '\n' ? "\n" : "");
+      return join_lines(lines);
+    }
+  }
+}
+
+TEST(PayloadMutation, EveryMutantIsRejectedOrAFixedPoint) {
+  const std::vector<CodecCase> cases = codec_cases();
+  ASSERT_EQ(cases.size(), 19u);
+  constexpr int kIterations = 600;  // per message type
+  std::uint64_t state = 0x5EED'F1EE'7C0D'EC5ULL;
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const CodecCase& c : cases) {
+    ASSERT_EQ(c.reencode(c.canonical), c.canonical) << to_string(c.type);
+    for (int i = 0; i < kIterations; ++i) {
+      std::string mutant = c.canonical;
+      const std::size_t depth = 1 + splitmix64(state) % 3;
+      for (std::size_t d = 0; d < depth; ++d) mutant = mutate(mutant, state);
+      std::string once;
+      try {
+        once = c.reencode(mutant);
+      } catch (const ProtocolError&) {
+        ++rejected;
+        continue;
+      } catch (...) {
+        ADD_FAILURE() << to_string(c.type) << ": a non-ProtocolError escaped "
+                      << "on mutant '" << mutant << "'";
+        continue;
+      }
+      ++accepted;
+      std::string twice;
+      try {
+        twice = c.reencode(once);
+      } catch (...) {
+        ADD_FAILURE() << to_string(c.type) << ": re-encoding of accepted "
+                      << "mutant '" << mutant << "' does not parse";
+        continue;
+      }
+      EXPECT_EQ(twice, once) << to_string(c.type) << " mutant '" << mutant
+                             << "'";
+    }
+  }
+  // The sweep must reach both sides of the grammar to prove anything.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 1000u);
+}
+
+TEST(PayloadMutation, ReorderedMarginRequestIsRejected) {
+  MarginRequest req;
+  req.device_id = 3;
+  const std::vector<std::string> lines = split_lines(req.encode());
+  ASSERT_EQ(lines.size(), 5u);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    for (std::size_t j = i + 1; j < lines.size(); ++j) {
+      std::vector<std::string> swapped = lines;
+      std::swap(swapped[i], swapped[j]);
+      EXPECT_THROW(MarginRequest::parse(join_lines(swapped)), ProtocolError)
+          << "lines " << i << " and " << j << " swapped";
+    }
+  }
+}
+
+TEST(PayloadMutation, ErrorMessagesQuoteABoundedPrefix) {
+  // A parse error names its offender, but never more than a short prefix
+  // of one line of it: the error reply must stay far below the frame cap,
+  // and must itself parse (a quoted newline would end its message line).
+  const std::string huge(1 << 16, 'x');
+  const std::string hostile[] = {
+      huge + "\n",                              // keyless line
+      huge,                                     // no terminator
+      "device " + huge + "\n",                  // bad u64
+      "device 1\nduty " + huge + "\n",          // bad double
+      MarginRequest().encode() + huge,          // trailing bytes
+      MarginRequest().encode() + "a 1\nb 2\n",  // trailing lines
+  };
+  const auto check = [](const ProtocolError& e) {
+    const std::string what = e.what();
+    EXPECT_LT(what.size(), 160u) << what;
+    ErrorResponse reply;
+    reply.message = what;
+    EXPECT_EQ(ErrorResponse::parse(reply.encode()).message, what);
+  };
+  for (const std::string& payload : hostile) {
+    try {
+      (void)MarginRequest::parse(payload);
+      ADD_FAILURE() << "hostile payload parsed";
+    } catch (const ProtocolError& e) {
+      check(e);
+    }
+  }
+  try {
+    (void)StatusResponse::parse("status " + huge + "\n");
+    ADD_FAILURE() << "hostile status parsed";
+  } catch (const ProtocolError& e) {
+    check(e);
+  }
 }
 
 TEST(ProtocolTalliesTest, SweepRejectionsMatchPublishedMetricsBitForBit) {

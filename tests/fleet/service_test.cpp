@@ -387,6 +387,23 @@ TEST_F(ServiceTest, HostilePayloadEarnsErrorResponseNeverThrows) {
   }
 }
 
+TEST_F(ServiceTest, MaximalHostileLineEarnsAFrameableError) {
+  // A valid max-size frame whose payload is one line of non-space bytes:
+  // the error reply must quote a bounded prefix of it, or framing the reply
+  // throws outside the request's try block and takes the daemon down.
+  Service service(small_config());
+  const std::string payload =
+      std::string(kMaxFramePayload - 1, 'x') + '\n';
+  const std::string wire =
+      frame_message(MessageType::kMarginRequest, 4, payload);
+  const Frame reply = service.respond(decode_frame(wire));
+  ASSERT_EQ(reply.type, MessageType::kErrorResponse);
+  EXPECT_EQ(ErrorResponse::parse(reply.payload).status, Status::kBadRequest);
+  EXPECT_LT(reply.payload.size(), 512u);
+  EXPECT_NO_THROW(
+      (void)frame_message(reply.type, reply.request_id, reply.payload));
+}
+
 TEST_F(ServiceTest, ScheduleSleepIsIdempotentAndByteStable) {
   Service service(small_config());
   ScheduleSleepRequest req;
