@@ -75,8 +75,9 @@ int main() {
                              Kelvin{celsius(mission_temp_c)}).value() /
         kYear;
     const auto fmt_hit = [&](double hit) {
-      return hit < 0.0 ? ">" + fmt_fixed(horizon / kYear, 0) + " y"
-                       : fmt_fixed(hit / kYear, 1) + " y";
+      return hit < 0.0
+                 ? std::string(">").append(fmt_fixed(horizon / kYear, 0)) + " y"
+                 : fmt_fixed(hit / kYear, 1) + " y";
     };
     const double system_hit =
         bti_hit_s < 0.0 ? (em_hit_s < 0.0 ? -1.0 : em_hit_s)

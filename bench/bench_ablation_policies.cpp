@@ -35,7 +35,8 @@ int main() {
     t.add_row({to_string(policy),
                r.margin_exceeded
                    ? fmt_fixed(r.time_to_margin_s.value() / 86400.0, 0)
-                   : ">" + fmt_fixed(cfg.horizon_s.value() / 86400.0, 0),
+                   : std::string(">").append(
+                         fmt_fixed(cfg.horizon_s.value() / 86400.0, 0)),
                fmt_percent(r.availability, 1),
                strformat("%d", r.recovery_events), fmt_fixed(mean_mv, 2),
                fmt_fixed(r.worst_delta_vth_v.value() * 1e3, 2),

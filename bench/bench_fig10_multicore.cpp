@@ -49,7 +49,8 @@ int main() {
                strformat("%d", r.tdp_violations),
                r.margin_exceeded
                    ? fmt_fixed(r.time_to_first_margin_s.value() / 86400.0, 0)
-                   : ">" + fmt_fixed(cfg.horizon_s.value() / 86400.0, 0) +
+                   : std::string(">").append(
+                         fmt_fixed(cfg.horizon_s.value() / 86400.0, 0)) +
                          " (censored)",
                fmt_fixed(r.throughput_core_s.value() / (365.25 * 86400.0), 1)});
   }

@@ -44,6 +44,11 @@ int main(int argc, char** argv) {
         ".csv";
     std::ofstream os(path);
     log.write_csv(os);
+    os.flush();
+    if (!os) {
+      std::fprintf(stderr, "error: failed to write %s\n", path.c_str());
+      return 1;
+    }
     std::printf("  wrote %zu samples to %s\n", log.size(), path.c_str());
 
     // Summary metrics.

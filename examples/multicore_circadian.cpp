@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
                strformat("%d", r.tdp_violations),
                r.margin_exceeded
                    ? fmt_fixed(r.time_to_first_margin_s.value() / 86400.0, 0)
-                   : ">" + fmt_fixed(cfg.horizon_s.value() / 86400.0, 0)});
+                   : std::string(">").append(
+                         fmt_fixed(cfg.horizon_s.value() / 86400.0, 0))});
   }
   std::printf("%s\n", t.render().c_str());
 

@@ -74,8 +74,10 @@ int main(int argc, char** argv) {
     for (const auto& s : r.trace.samples()) mean_mv += s.value;
     mean_mv = mean_mv / static_cast<double>(r.trace.size()) * 1e3;
     t.add_row({to_string(policy),
-               r.margin_exceeded ? fmt_fixed(r.time_to_margin_s.value() / 86400.0, 0)
-                                 : ">" + fmt_fixed(cfg.horizon_s.value() / 86400.0, 0),
+               r.margin_exceeded
+                   ? fmt_fixed(r.time_to_margin_s.value() / 86400.0, 0)
+                   : std::string(">").append(
+                         fmt_fixed(cfg.horizon_s.value() / 86400.0, 0)),
                fmt_percent(r.availability, 1), fmt_fixed(mean_mv, 2)});
   }
   std::printf("%s", t.render().c_str());

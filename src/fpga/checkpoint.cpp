@@ -94,7 +94,7 @@ void read(std::istream& is, const char* kind,
   std::string devices;
   header >> magic >> version >> got_kind >> devices;
   if (magic != "ash-checkpoint") fail("bad magic");
-  if (version != "v" + std::to_string(kCheckpointVersion)) {
+  if (version != std::string("v").append(std::to_string(kCheckpointVersion))) {
     fail("unsupported version '" + version + "'");
   }
   if (got_kind != kind) {

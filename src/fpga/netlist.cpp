@@ -99,10 +99,11 @@ Netlist inverter_chain(int stages) {
   std::string prev = "in";
   for (int i = 0; i < stages; ++i) {
     LutNode node;
-    node.name = "u" + std::to_string(i);
+    node.name = std::string("u").append(std::to_string(i));
     node.config = lut_not_a();
     node.inputs = {prev, prev};
-    node.output = i + 1 == stages ? "out" : "n" + std::to_string(i);
+    node.output =
+        i + 1 == stages ? "out" : std::string("n").append(std::to_string(i));
     prev = node.output;
     nl.nodes.push_back(std::move(node));
   }

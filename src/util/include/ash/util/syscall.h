@@ -12,7 +12,7 @@
 /// heartbeat, or a lost response.
 ///
 /// `retry_eintr` retries the wrapped call while it fails with EINTR and is
-/// transparent otherwise.  The `eintr` rule of `tools/ash_lint.py` fails
+/// transparent otherwise.  The `eintr` rule of `tools/ash_check.py` fails
 /// the build when a bare syscall appears in `src/fleet/` outside this
 /// wrapper, so unguarded call sites regress loudly.
 ///

@@ -27,9 +27,10 @@
 ///     brevity; the helpers stay in `ash::units` to avoid colliding with
 ///     the raw-double helpers in constants.h.
 ///
-/// Enforcement: `tools/ash_lint.py` rule `raw-double-api` fails the build
-/// when a unit-suffixed `double` parameter appears in a public header of
-/// the adopted modules (bti, fpga, tb, mc).
+/// Enforcement: the `unit-flow` rule of `tools/ash_check.py` fails the
+/// build when a unit-suffixed `double` parameter appears in a public
+/// section of a public header of the adopted modules (bti, fpga, tb, mc),
+/// or as a public member or return type anywhere under `src/`.
 
 #include "ash/util/constants.h"
 

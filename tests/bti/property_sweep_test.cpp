@@ -74,8 +74,8 @@ INSTANTIATE_TEST_SUITE_P(
                       StressPoint{1.1, 110.0}, StressPoint{1.2, 110.0},
                       StressPoint{1.3, 110.0}),
     [](const ::testing::TestParamInfo<StressPoint>& info) {
-      return "V" +
-             std::to_string(static_cast<int>(std::get<0>(info.param) * 100)) +
+      return std::string("V").append(std::to_string(
+                 static_cast<int>(std::get<0>(info.param) * 100))) +
              "_T" + std::to_string(static_cast<int>(std::get<1>(info.param)));
     });
 
@@ -144,7 +144,7 @@ INSTANTIATE_TEST_SUITE_P(
                       RecoveryPoint{-0.3, 110.0}),
     [](const ::testing::TestParamInfo<RecoveryPoint>& info) {
       const int mv = static_cast<int>(-std::get<0>(info.param) * 1000);
-      return "N" + std::to_string(mv) + "mV_T" +
+      return std::string("N").append(std::to_string(mv)) + "mV_T" +
              std::to_string(static_cast<int>(std::get<1>(info.param)));
     });
 

@@ -155,7 +155,7 @@ TEST_F(CheckpointStoreTest, CorruptNewestFallsBackToPreviousValid) {
   // Tear the newest file mid-payload.
   const std::string bytes = util::read_file(newest);
   // Deliberately torn write; the store must reject it, not us.
-  std::ofstream os(newest,  // ash-lint: allow(unchecked-io): torn write is the test
+  std::ofstream os(newest,  // ash-check: allow(unchecked-io): torn write is the test
                    std::ios::binary | std::ios::trunc);
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 2));
   os.close();
@@ -171,7 +171,7 @@ TEST_F(CheckpointStoreTest, AllCorruptLoadsNothingAndCountsSkips) {
   for (std::uint64_t seq = 1; seq <= 3; ++seq) {
     const std::string path = store.save(9, seq, "payload");
     // Deliberate corruption; short writes here are the point.
-    std::ofstream os(path,  // ash-lint: allow(unchecked-io): torn write is the test
+    std::ofstream os(path,  // ash-check: allow(unchecked-io): torn write is the test
                     std::ios::binary | std::ios::trunc);
     os << "garbage";
   }
@@ -207,7 +207,7 @@ TEST_F(CheckpointStoreTest, MisfiledFrameIsSkipped) {
 TEST_F(CheckpointStoreTest, PruneKeepsNewest) {
   const CheckpointStore store(dir_);
   for (std::uint64_t seq = 0; seq < 6; ++seq) {
-    store.save(0, seq, "p" + std::to_string(seq));
+    store.save(0, seq, std::string("p").append(std::to_string(seq)));
   }
   store.prune(0, 2);
   const auto files = store.shard_files(0);

@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
 """Self-tests for tools/ash_check.py.
 
-Each of the four checkers has positive / suppressed / clean fixtures
-under tests/lint/fixtures/ (the protocol checker's fixtures are whole
-mini-repo roots, since it cross-checks protocol.h, protocol.cpp and
-tests/fleet/).  The suite pins the deterministic fallback frontend
-(`--frontend fallback`) so results do not depend on an optional libclang
-wheel, asserts the real tree scans to zero findings, and covers the exit
-status contract: 0 clean, 1 findings, 2 usage/internal errors.
+Every check has fixture cases under tests/lint/fixtures/: a positive file
+that must produce that check's findings, a suppressed file whose violation
+carries a full `ash-check: allow(check): <reason>` escape, a clean file
+that must produce nothing and, where one exists, a bare file whose escape
+omits the mandatory reason (and therefore still reports).  The fixtures
+mirror the repo layout where a check is path-scoped; the protocol
+checker's fixtures are whole mini-repo roots, since it cross-checks
+protocol.h, protocol.cpp and tests/fleet/.  The suite also asserts that
+the real tree scans to zero findings over the default scope, and covers
+the exit status contract: 0 clean, 1 findings, 2 usage/internal errors.
 
-Run directly or via ctest (`ctest -L lint`).
+Run directly for every case, or name test classes to run a subset.
+ctest (`ctest -L lint`) registers TokenRuleTest (wall-clock, rng,
+unordered-iter, float-physics, unchecked-io, eintr, metric-name) as
+lint_ash_lint_selftest and the other classes as lint_ash_check_selftest.
 """
 
 import json
@@ -23,14 +29,40 @@ REPO = os.path.dirname(os.path.dirname(HERE))
 CHECK = os.path.join(REPO, "tools", "ash_check.py")
 FIXTURES = os.path.join(HERE, "fixtures")
 
+CPP_DIRS = ["src", "tools", "bench", "tests", "examples", "perfbench"]
 
-def run_check(root, paths, check=None, extra=()):
-    cmd = [sys.executable, CHECK, "--root", root, "--json",
-           "--frontend", "fallback"]
+# test name -> (check, fixture dir, case directory inside it, extension,
+#               minimum positive findings, whether a bare case exists)
+CASES = {
+    "wall_clock": ("wall-clock", "wall_clock", "", ".cpp", 1, True),
+    "rng": ("rng", "rng", "", ".cpp", 1, True),
+    "unordered_iter": ("unordered-iter", "unordered_iter", "", ".cpp", 1,
+                       True),
+    "float_physics": ("float-physics", "float_physics", "src/bti", ".cpp",
+                      1, True),
+    "unchecked_io": ("unchecked-io", "unchecked_io", "", ".cpp", 1, True),
+    "eintr": ("eintr", "eintr", "src/fleet", ".cpp", 1, True),
+    "metric_name": ("metric-name", "metric_name", "", ".cpp", 1, True),
+    # printf via a callee plus operator new in the handler itself.
+    "signal_safety": ("signal-safety", "signal_safety", "", ".cpp", 2,
+                      False),
+    # static local + file-scope global + non-util RNG.
+    "shard_purity": ("shard-purity", "shard_purity", "", ".cpp", 3, False),
+    # double member + vector<double> member + double return; unit-flow
+    # only looks under src/.
+    "unit_flow": ("unit-flow", "unit_flow", "src", ".h", 3, True),
+    # The parameter half: public sections of the physics modules' public
+    # headers (a free function and a public method).
+    "unit_flow_params": ("unit-flow", "unit_flow", "src/bti/include", ".h",
+                         2, True),
+}
+
+
+def run_check(root, paths, check=None):
+    cmd = [sys.executable, CHECK, "--root", root, "--json"]
     if check:
         cmd += ["--check", check]
-    cmd += list(extra) + list(paths)
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    proc = subprocess.run(cmd + list(paths), capture_output=True, text=True)
     try:
         payload = json.loads(proc.stdout)
     except json.JSONDecodeError as err:
@@ -40,28 +72,28 @@ def run_check(root, paths, check=None, extra=()):
     return proc.returncode, payload
 
 
-class SingleFileCheckerTest(unittest.TestCase):
-    """signal-safety, shard-purity and unit-flow run per fixture file."""
+def run_cli(*args):
+    return subprocess.run([sys.executable, CHECK, *args],
+                          capture_output=True, text=True)
 
-    # check -> (fixture dir, case path template)
-    CASES = {
-        "signal-safety": ("signal_safety", "{case}.cpp"),
-        "shard-purity": ("shard_purity", "{case}.cpp"),
-        # unit-flow only looks under src/, so the fixtures live there.
-        "unit-flow": ("unit_flow", os.path.join("src", "{case}.h")),
-    }
 
-    def run_case(self, check, case):
-        subdir, template = self.CASES[check]
-        rel = template.format(case=case)
+class FixtureTest(unittest.TestCase):
+    """Assertions over a check's fixture cases; subclasses get one test
+    per case of the CASES entries they name."""
+
+    def run_case(self, name, case):
+        check, subdir, scope, ext, _, _ = CASES[name]
+        rel = os.path.join(scope, case + ext)
         root = os.path.join(FIXTURES, subdir)
         self.assertTrue(os.path.isfile(os.path.join(root, rel)),
                         f"missing fixture {subdir}/{rel}")
         return run_check(root, [rel], check)
 
-    def assert_positive(self, check, min_findings):
-        code, payload = self.run_case(check, "positive")
+    def assert_positive(self, name):
+        check, min_findings = CASES[name][0], CASES[name][4]
+        code, payload = self.run_case(name, "positive")
         self.assertEqual(code, 1, payload)
+        self.assertEqual(payload["suppressed"], 0, payload)
         self.assertGreaterEqual(len(payload["findings"]), min_findings,
                                 payload)
         for f in payload["findings"]:
@@ -69,47 +101,73 @@ class SingleFileCheckerTest(unittest.TestCase):
             self.assertGreater(f["line"], 0)
             self.assertTrue(f["message"])
 
-    def assert_suppressed(self, check):
-        code, payload = self.run_case(check, "suppressed")
+    def assert_suppressed(self, name):
+        code, payload = self.run_case(name, "suppressed")
         self.assertEqual(code, 0, payload)
         self.assertEqual(payload["findings"], [])
         self.assertGreater(payload["suppressed"], 0, payload)
 
-    def assert_clean(self, check):
-        code, payload = self.run_case(check, "clean")
+    def assert_clean(self, name):
+        code, payload = self.run_case(name, "clean")
         self.assertEqual(code, 0, payload)
         self.assertEqual(payload["findings"], [])
         self.assertEqual(payload["suppressed"], 0, payload)
 
-    def test_signal_safety_positive(self):
-        # printf via a callee plus operator new in the handler itself.
-        self.assert_positive("signal-safety", 2)
+    def assert_bare(self, name):
+        # An allow() escape without a `: <reason>` tail does not
+        # suppress; the finding it reports names the missing reason.
+        code, payload = self.run_case(name, "bare")
+        self.assertEqual(code, 1, payload)
+        self.assertEqual(payload["suppressed"], 0, payload)
+        self.assertTrue(any("carries no reason" in f["message"]
+                            for f in payload["findings"]), payload)
 
-    def test_signal_safety_suppressed(self):
-        self.assert_suppressed("signal-safety")
+    def assert_one(self, subdir, rel, check, text):
+        root = os.path.join(FIXTURES, subdir)
+        self.assertTrue(os.path.isfile(os.path.join(root, rel)))
+        code, payload = run_check(root, [rel], check)
+        self.assertEqual(code, 1)
+        self.assertEqual(len(payload["findings"]), 1, payload)
+        self.assertIn(text, payload["findings"][0]["message"])
 
-    def test_signal_safety_clean(self):
-        self.assert_clean("signal-safety")
 
-    def test_shard_purity_positive(self):
-        # static local + file-scope global + non-util RNG.
-        self.assert_positive("shard-purity", 3)
+def _add_cases(cls, names):
+    for name in names:
+        kinds = ["positive", "suppressed", "clean"] + (["bare"]
+                                                       if CASES[name][5]
+                                                       else [])
+        for kind in kinds:
+            assert_case = getattr(FixtureTest, f"assert_{kind}")
+            setattr(cls, f"test_{name}_{kind}",
+                    lambda self, a=assert_case, n=name: a(self, n))
 
-    def test_shard_purity_suppressed(self):
-        self.assert_suppressed("shard-purity")
 
-    def test_shard_purity_clean(self):
-        self.assert_clean("shard-purity")
+class TokenRuleTest(FixtureTest):
+    """The line-level token rules."""
 
-    def test_unit_flow_positive(self):
-        # double member + vector<double> member + double return.
-        self.assert_positive("unit-flow", 3)
+    def test_hot_kernel_registration(self):
+        # metric-name's second half: any registration in an instrumented
+        # hot-path kernel file is a finding, even a well-named one.
+        self.assert_one("metric_name", os.path.join("src", "mc", "system.cpp"),
+                        "metric-name", "hot-path")
 
-    def test_unit_flow_suppressed(self):
-        self.assert_suppressed("unit-flow")
+    def test_homebrew_exponential_in_util_is_flagged(self):
+        # float-physics' exponential half reaches src/util (where one would
+        # most plausibly appear), not just the physics modules.
+        self.assert_one("float_physics",
+                        os.path.join("src", "util", "homebrew.cpp"),
+                        "float-physics", "homebrew approximate exponential")
 
-    def test_unit_flow_clean(self):
-        self.assert_clean("unit-flow")
+
+class StructuralCheckTest(FixtureTest):
+    """The checks that read declarations and call graphs."""
+
+
+TOKEN_RULE_CASES = ["wall_clock", "rng", "unordered_iter", "float_physics",
+                    "unchecked_io", "eintr", "metric_name"]
+_add_cases(TokenRuleTest, TOKEN_RULE_CASES)
+_add_cases(StructuralCheckTest,
+           [n for n in CASES if n not in TOKEN_RULE_CASES])
 
 
 class ProtocolCheckerTest(unittest.TestCase):
@@ -142,40 +200,30 @@ class ProtocolCheckerTest(unittest.TestCase):
         self.assertEqual(payload["suppressed"], 0, payload)
 
 
-class BareAllowTest(unittest.TestCase):
-    """An ash-check escape without `: <reason>` does not suppress."""
-
-    def test_bare_escape_reports(self):
-        import tempfile
-        with tempfile.TemporaryDirectory() as tmp:
-            src = os.path.join(tmp, "src")
-            os.makedirs(src)
-            with open(os.path.join(src, "bare.h"), "w") as f:
-                f.write("struct R {\n"
-                        "  double delay_s = 0.0;"
-                        "  // ash-check: allow(unit-flow)\n"
-                        "};\n")
-            code, payload = run_check(tmp, [os.path.join("src", "bare.h")],
-                                      "unit-flow")
-        self.assertEqual(code, 1, payload)
-        self.assertEqual(payload["suppressed"], 0, payload)
-        self.assertTrue(any("carries no reason" in f["message"]
-                            for f in payload["findings"]), payload)
-
-
 class WholeRepoTest(unittest.TestCase):
     """The real tree must be finding-free — CI enforces the same."""
 
     def test_repo_is_clean(self):
-        code, payload = run_check(REPO, ["src", "tools", "tests"])
+        code, payload = run_check(REPO, [])
         self.assertEqual(
             payload["findings"], [],
             "ash_check findings on the tree:\n" +
             "\n".join(f"{f['path']}:{f['line']}: [{f['check']}] "
                       f"{f['message']}" for f in payload["findings"]))
         self.assertEqual(code, 0)
-        self.assertGreater(payload["files_scanned"], 150)
-        self.assertEqual(payload["frontend"], "fallback")
+        # The default scope is every C++ directory.
+        _, explicit = run_check(REPO, CPP_DIRS)
+        self.assertEqual(payload["files_scanned"], explicit["files_scanned"])
+        self.assertGreater(payload["files_scanned"], 240)
+
+    def test_list_checks(self):
+        proc = run_cli("--list-checks")
+        self.assertEqual(proc.returncode, 0)
+        self.assertEqual(
+            proc.stdout.split(),
+            ["wall-clock", "rng", "unordered-iter", "float-physics",
+             "unchecked-io", "eintr", "metric-name", "signal-safety",
+             "shard-purity", "unit-flow", "protocol-exhaustiveness"])
 
 
 class ExitCodeTest(unittest.TestCase):
@@ -183,52 +231,28 @@ class ExitCodeTest(unittest.TestCase):
     errors — CI must tell \"dirty tree\" from \"broken tool\"."""
 
     def test_findings_exit_one(self):
-        root = os.path.join(FIXTURES, "unit_flow")
-        code, _ = run_check(root, [os.path.join("src", "positive.h")],
-                            "unit-flow")
-        self.assertEqual(code, 1)
+        proc = run_cli("--root", os.path.join(FIXTURES, "rng"),
+                       "positive.cpp")
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+
+    def test_clean_exit_zero(self):
+        proc = run_cli("--root", os.path.join(FIXTURES, "rng"), "clean.cpp")
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
 
     def test_bad_root_exit_two(self):
-        proc = subprocess.run(
-            [sys.executable, CHECK, "--root", "/nonexistent/xyzzy"],
-            capture_output=True, text=True)
+        proc = run_cli("--root", "/nonexistent/xyzzy")
         self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
         self.assertIn("not a directory", proc.stderr)
 
     def test_no_files_matched_exit_two(self):
-        root = os.path.join(FIXTURES, "unit_flow")
-        proc = subprocess.run(
-            [sys.executable, CHECK, "--root", root, "no_such_subdir"],
-            capture_output=True, text=True)
+        proc = run_cli("--root", os.path.join(FIXTURES, "rng"),
+                       "no_such_subdir")
         self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
         self.assertIn("no source files matched", proc.stderr)
 
     def test_unknown_check_exit_two(self):
-        proc = subprocess.run(
-            [sys.executable, CHECK, "--check", "bogus"],
-            capture_output=True, text=True)
+        proc = run_cli("--check", "bogus")
         self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
-
-    def test_unreadable_compile_commands_exit_two(self):
-        import tempfile
-        with tempfile.NamedTemporaryFile("w", suffix=".json") as bad:
-            bad.write("{ not json")
-            bad.flush()
-            proc = subprocess.run(
-                [sys.executable, CHECK, "--root", REPO,
-                 "--compile-commands", bad.name, "tools"],
-                capture_output=True, text=True)
-        self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
-
-    def test_list_checks(self):
-        proc = subprocess.run(
-            [sys.executable, CHECK, "--list-checks"],
-            capture_output=True, text=True)
-        self.assertEqual(proc.returncode, 0)
-        self.assertEqual(
-            proc.stdout.split(),
-            ["signal-safety", "shard-purity", "unit-flow",
-             "protocol-exhaustiveness"])
 
 
 if __name__ == "__main__":

@@ -4,5 +4,5 @@
 
 void last_gasp(int fd) {
   const char byte = '!';
-  (void)::write(fd, &byte, 1);  // ash-lint: allow(eintr)
+  (void)::write(fd, &byte, 1);  // ash-check: allow(eintr)
 }

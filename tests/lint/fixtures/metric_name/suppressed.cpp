@@ -8,5 +8,5 @@ Registry& registry();
 }  // namespace obs
 
 void publish_legacy() {
-  obs::registry().counter("Fleet-Requests");  // ash-lint: allow(metric-name): fixture-sanctioned violation
+  obs::registry().counter("Fleet-Requests");  // ash-check: allow(metric-name): fixture-sanctioned violation
 }

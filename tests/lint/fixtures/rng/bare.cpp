@@ -1,5 +1,5 @@
 #include <random>
 unsigned draw() {
-  std::random_device rd;  // ash-lint: allow(rng)
+  std::random_device rd;  // ash-check: allow(rng)
   return rd();
 }

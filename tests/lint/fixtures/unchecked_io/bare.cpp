@@ -3,6 +3,6 @@
 #include <fstream>
 
 void scribble(const char* path) {
-  std::ofstream os(path);  // ash-lint: allow(unchecked-io)
+  std::ofstream os(path);  // ash-check: allow(unchecked-io)
   os << "scratch\n";
 }

@@ -3,6 +3,6 @@
 #include <fstream>
 
 void scribble(const char* path) {
-  std::ofstream os(path);  // ash-lint: allow(unchecked-io): fixture-sanctioned violation
+  std::ofstream os(path);  // ash-check: allow(unchecked-io): fixture-sanctioned violation
   os << "scratch\n";
 }

@@ -4,6 +4,6 @@ double total(const std::unordered_map<std::string, double>& weights) {
   std::unordered_map<std::string, double> scaled = weights;
   double sum = 0.0;
   // Addition here is order-sensitive in principle, accepted deliberately.
-  for (const auto& kv : scaled) sum += kv.second;  // ash-lint: allow(unordered-iter)
+  for (const auto& kv : scaled) sum += kv.second;  // ash-check: allow(unordered-iter)
   return sum;
 }

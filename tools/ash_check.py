@@ -1,9 +1,74 @@
 #!/usr/bin/env python3
-"""ash-check: semantic static analysis over compile_commands.json.
+"""ash-check: the ash lab's static analyzer.
 
-`tools/ash_lint.py` polices token-level patterns; this tool checks the
-*call-graph* and *declaration-level* invariants the lab's correctness
-story actually rests on.  Four checkers:
+The virtual lab's headline guarantee is bit-exact reproducibility: the same
+seed must give the same campaign on any machine, any thread count, any
+checkpoint/resume split.  Most regressions against that guarantee come from
+a handful of recognisable source patterns, and the rest from call-graph and
+declaration-level invariants.  Token rules run line patterns over source
+whose comments and string literals are blanked first:
+
+  wall-clock      Wall-clock/time sources (std::chrono::*_clock, time(),
+                  gettimeofday, ...) in simulation code.  Simulated time is
+                  the only clock the models may read; host time is allowed
+                  only in the observability layer (src/obs/), in fleet
+                  process supervision (src/fleet/) and in benchmark
+                  harness timers (bench/, perfbench/, tests/obs/).
+
+  rng             Unseeded or global RNG: rand(), srand(), drand48(),
+                  std::random_device.  All randomness must flow through
+                  ash::Rng / derive_seed (src/util/.../random.h) so streams
+                  are named, seeded and replayable.
+
+  unordered-iter  Range-for over a std::unordered_{map,set} (or an alias of
+                  one declared in the same file).  Unordered iteration order
+                  is implementation-defined, so any result merged from such
+                  a loop can differ across standard libraries; iterate a
+                  sorted view or an ordered container instead.
+
+  float-physics   `float` in physics code (src/bti, src/fpga, src/tb,
+                  src/mc, src/core).  The models are calibrated in double
+                  precision; a single-precision narrowing silently changes
+                  trajectories.  The rule also polices exponentials: the
+                  float-precision exp family (expf, exp2f, expm1f) and any
+                  homebrew exponential approximation (a float/double
+                  function named like quick_exp / exp_approx) are findings
+                  in physics code *and* src/util.  The trap kernels are
+                  bit-exact contracts, so every exponential there is
+                  std::exp.
+
+  unchecked-io    A std::ofstream/std::fstream variable whose stream state
+                  is never examined anywhere in the file: no `!s`, no
+                  .fail()/.good()/.bad()/.is_open()/.rdstate(), no
+                  .exceptions() arming, no boolean test.  A full disk or a
+                  torn write then fails silently and the campaign "result"
+                  is garbage; check the stream after writing, or go through
+                  util::atomic_write_file which throws on short writes.
+                  The heuristic is file-scoped by name, so a check of any
+                  same-named stream in the file counts.
+
+  eintr           A bare blocking syscall (::read, ::write, ::poll,
+                  ::waitpid, ::accept/::accept4, ::connect, ::recv,
+                  ::send, ::nanosleep) in src/fleet/, outside a
+                  util::retry_eintr wrapper.  The fleet layer mixes slow
+                  syscalls with real signals (SIGCHLD from dying workers,
+                  SIGTERM during drain), so EINTR is routine there and a
+                  bare call treats the spurious failure as a real one.
+                  ::close is deliberately exempt: retrying close can close
+                  a descriptor the kernel already reused.
+
+  metric-name     A metric registered (.counter/.gauge/.histogram) under a
+                  literal name outside `[a-z0-9_.]+`: dots namespace,
+                  underscores separate words; anything else breaks the
+                  scrape-prefix filter and the key=value dump grammar.
+                  Additionally, *any* registration call inside one of the
+                  instrumented hot-path kernel files (the ScopedKernelTimer
+                  sites) is flagged: registration takes the registry mutex
+                  per call — register once at setup and reuse the returned
+                  reference.  Computed names elsewhere are skipped (they
+                  are validated at runtime by what they render into).
+
+Semantic rules run over a self-contained declaration/call-graph parser:
 
   signal-safety
       Every function reachable from a registered fatal-signal handler
@@ -30,34 +95,35 @@ story actually rests on.  Four checkers:
       as a *public* struct/class data member (`double x_v;`,
       `std::vector<double> periods_s;`) or as the return type of a
       suffix-named function (`double period_s(...)`) anywhere under
-      `src/` is a finding: quantities crossing a declaration boundary
-      must use the strong types from ash/util/units.h.  Supersedes
-      ash_lint's narrower parameter-only `raw-double-api` rule.
+      `src/` is a finding, and so is a parameter spelled
+      `double <name>_{s,v,k,c,hz}` in a *public* section of the physics
+      modules' public headers (src/{bti,fpga,tb,mc}/include): quantities
+      crossing a declaration boundary must use the strong types from
+      ash/util/units.h.  `_per_` rate names are exempt.
 
   protocol-exhaustiveness
       Every `fleet::MessageType` enumerator must have a payload codec
-      struct (encode() + parse() in protocol.cpp), a to_string
-      classification, and a test under tests/fleet/ referencing it; every
+      struct in protocol.h, a to_string classification in protocol.cpp,
+      and a test under tests/fleet/ referencing it; every
       `fleet::ProtocolViolation` must be classified in protocol.cpp and
-      exercised by a hostile-input test.  Cross-checks protocol.h,
-      protocol.cpp and tests/fleet/.
+      exercised by a hostile-input test.  Each struct's encode()/parse()
+      is a call into the one field-table codec, and the golden frame test
+      calls both for every type, so a missing definition fails the link.
 
-Frontend: `clang.cindex` (libclang) is used when importable to resolve
-call targets precisely; otherwise a deterministic, self-contained
-declaration/call-graph parser takes over, so CI never depends on an
-optional wheel.  `--frontend fallback` forces the self-contained parser
-(what the self-tests pin).  The fallback parser resolves calls by name,
-not by overload: its call graph is an over-approximation, and it does
-not see through function pointers other than the signal-registration
-idioms above (see DESIGN.md Sec. 14 for the full limits).
+The parser resolves calls by name, not by overload: its call graph is an
+over-approximation, and it does not see through function pointers other
+than the signal-registration idioms above (see DESIGN.md Sec. 14 for the
+full limits).
 
-Suppression requires a reason:
+Any finding can be suppressed on its line with a trailing
+`// ash-check: allow(<rule>): <reason>` (comma-separate several rules).
+The reason is mandatory: a bare `allow(<rule>)` does not suppress — it is
+itself reported, because an unexplained escape is unreviewable.
 
-    code();  // ash-check: allow(rule): why this is safe
-
-A bare `allow(rule)` with no `: reason` does not suppress — it is
-itself reported.  Exit status: 0 clean, 1 findings, 2 usage or internal
-errors.  `--json` emits machine-readable findings for CI.
+The default scope is every C++ directory: src tools bench tests examples
+perfbench.  Exit status: 0 clean, 1 findings, 2 usage or internal errors
+(bad --root, no files matched, unknown flags).  `--json` emits
+machine-readable findings for CI.
 """
 
 from __future__ import annotations
@@ -67,18 +133,12 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, asdict, field
-
-from ash_lint import strip_code  # one source of truth for the lexer
-
-CHECKS = (
-    "signal-safety",
-    "shard-purity",
-    "unit-flow",
-    "protocol-exhaustiveness",
-)
+from dataclasses import dataclass, asdict
 
 CXX_EXTENSIONS = (".h", ".hpp", ".cpp", ".cc", ".cxx")
+DEFAULT_PATHS = ("src", "tools", "bench", "tests", "examples", "perfbench")
+
+# The analyzer's own test fixtures intentionally violate every rule.
 EXCLUDED_PARTS = ("lint/fixtures", "build")
 
 ALLOW_RE = re.compile(
@@ -104,32 +164,91 @@ class Report:
         self.suppressed: list[Finding] = []
         self._seen: set = set()
 
-    def add(self, check: str, path: str, line: int, message: str,
-            source_line: str) -> None:
-        key = (check, path, line, message)
+    def add(self, check: str, sf: "SourceFile", line: int,
+            message: str) -> None:
+        key = (check, sf.rel, line, message)
         if key in self._seen:
             return
         self._seen.add(key)
-        f = Finding(check, path, line, message, source_line.strip()[:160])
+        source_line = sf.source_line(line)
+        snippet = source_line.strip()[:160]
         m = ALLOW_RE.search(source_line)
-        if m:
-            rules = {r.strip() for r in m.group(1).split(",") if r.strip()}
-            if check in rules:
-                if m.group(3):
-                    self.suppressed.append(f)
-                    return
-                f = Finding(
-                    check, path, line,
-                    f"suppression escape for '{check}' carries no reason: "
-                    "write `// ash-check: allow(" + check + "): <why>`"
-                    " — an unexplained escape is unreviewable",
-                    source_line.strip()[:160])
-        self.findings.append(f)
+        if m and check in {r.strip() for r in m.group(1).split(",")}:
+            if m.group(3):
+                self.suppressed.append(
+                    Finding(check, sf.rel, line, message, snippet))
+                return
+            message = (f"suppression escape for '{check}' carries no "
+                       f"reason: write `// ash-check: allow({check}): <why>`"
+                       " — an unexplained escape is unreviewable")
+        self.findings.append(Finding(check, sf.rel, line, message, snippet))
 
 
 # ---------------------------------------------------------------------------
-# Self-contained fallback parser
+# Lexer & parser
 # ---------------------------------------------------------------------------
+
+
+def strip_code(text: str) -> str:
+    """Blank out comments, string and char literals, preserving line layout.
+
+    Replaced characters become spaces so that line/column arithmetic on the
+    result still maps onto the original file.
+    """
+    out = []
+    i = 0
+    n = len(text)
+    state = "code"  # code | line_comment | block_comment | string | char
+    while i < n:
+        ch = text[i]
+        nxt = text[i + 1] if i + 1 < n else ""
+        if state == "code":
+            if ch == "/" and nxt == "/":
+                state = "line_comment"
+                out.append("  ")
+                i += 2
+                continue
+            if ch == "/" and nxt == "*":
+                state = "block_comment"
+                out.append("  ")
+                i += 2
+                continue
+            if ch == '"':
+                state = "string"
+                out.append(" ")
+                i += 1
+                continue
+            if ch == "'":
+                state = "char"
+                out.append(" ")
+                i += 1
+                continue
+            out.append(ch)
+        elif state == "line_comment":
+            if ch == "\n":
+                state = "code"
+                out.append("\n")
+            else:
+                out.append(" ")
+        elif state == "block_comment":
+            if ch == "*" and nxt == "/":
+                state = "code"
+                out.append("  ")
+                i += 2
+                continue
+            out.append("\n" if ch == "\n" else " ")
+        elif state in ("string", "char"):
+            quote = '"' if state == "string" else "'"
+            if ch == "\\":
+                out.append("  ")
+                i += 2
+                continue
+            if ch == quote:
+                state = "code"
+            out.append("\n" if ch == "\n" else " ")
+        i += 1
+    return "".join(out)
+
 
 CONTROL_KEYWORDS = frozenset(
     "if for while switch catch return do else new delete throw sizeof "
@@ -148,6 +267,7 @@ MEMBER_VECTOR_RE = re.compile(
 RETURN_DOUBLE_RE = re.compile(
     r"(?:^|[;{}:\s])(?:virtual\s+|static\s+|constexpr\s+|inline\s+)*"
     r"double\s+((?:\w+::)*\w+_(?:s|v|k|c|hz))\s*\(")
+PARAM_DOUBLE_RE = re.compile(r"\bdouble\s+(\w+_(?:s|v|k|c|hz))\b")
 
 GLOBAL_DECL_RE = re.compile(
     r"^\s*(?:volatile\s+)?(?:struct\s+|class\s+)?[\w:<>,\*&\s]+?"
@@ -193,21 +313,37 @@ class EnumDef:
     enumerators: list  # (name, line)
 
 
+def api_visible(scopes: list) -> bool:
+    """Whether a declaration at the innermost scope is public API: namespace
+    scope, or a public section of an exposed class, never a block."""
+    for s in reversed(scopes):
+        if s[0] == "class":
+            return s[2] == "public" and s[3]
+        if s[0] == "block":
+            return False
+    return True
+
+
 class SourceFile:
-    """One parsed translation unit or header (fallback frontend)."""
+    """One parsed translation unit or header."""
 
     def __init__(self, path: str, rel: str):
         with open(path, "r", encoding="utf-8", errors="replace") as f:
             self.text = f.read()
+        self.path = path
         self.rel = rel.replace(os.sep, "/")
-        code = strip_code(self.text)
-        # Blank preprocessor lines: their parentheses and angle brackets
+        # Token rules read the stripped text; the parser additionally
+        # blanks preprocessor lines, whose parentheses and angle brackets
         # would otherwise confuse statement chunking.
-        self.code = PREPROC_RE.sub(lambda m: " " * len(m.group(0)), code)
+        self.stripped = strip_code(self.text)
+        self.stripped_lines = self.stripped.split("\n")
+        self.code = PREPROC_RE.sub(lambda m: " " * len(m.group(0)),
+                                   self.stripped)
         self.lines = self.text.split("\n")
         self.functions: list[Func] = []
         self.members: list[Member] = []
         self.return_decls: list = []      # (name, line)
+        self.params: list = []            # (name, line), public API only
         self.enums: list[EnumDef] = []
         self.globals: dict[str, int] = {}  # mutable file-scope name -> line
         self._parse()
@@ -227,14 +363,9 @@ class SourceFile:
         n = len(code)
         i = 0
         chunk_start = 0
-        # scope stack entries: ["namespace"|"class"|"block", name, access]
+        # scope stack entries: ["namespace"|"class"|"block", name, access,
+        # exposed]
         scopes: list[list] = []
-
-        def in_class() -> bool:
-            return bool(scopes) and scopes[-1][0] == "class"
-
-        def at_top() -> bool:
-            return all(s[0] == "namespace" for s in scopes)
 
         while i < n:
             ch = code[i]
@@ -261,6 +392,8 @@ class SourceFile:
                     # A suffix-named double-returning *definition* also
                     # counts for unit-flow (headers with inline bodies).
                     self._head_return_decl(head, chunk_start)
+                    if api_visible(scopes):
+                        self._collect_params(head, chunk_start)
                     i = end
                     chunk_start = i + 1
                 elif kind[0] == "namespace":
@@ -351,38 +484,29 @@ class SourceFile:
         decl = stmt[last.end():] if last else stmt
         decl_off = offset + (last.end() if last else 0)
 
-        klass = None
-        access = "public"
-        exposed = True
-        for s in reversed(scopes):
-            if s[0] == "class":
-                klass, access, exposed = s[1], s[2], s[3]
-                break
-            if s[0] == "block":
-                return  # inside an initializer or unknown block: skip
-        if klass is not None:
-            if access != "public" or not exposed:
-                return
-            for regex, kind in ((MEMBER_DOUBLE_RE, "double"),
-                                (MEMBER_VECTOR_RE, "vector<double>")):
-                for m in regex.finditer(decl):
-                    self.members.append(
-                        Member(m.group(1), self.rel,
-                               self._line_of(decl_off + m.start(1)),
-                               kind, klass))
-            m = RETURN_DOUBLE_RE.search(decl)
-            if m:
-                self.return_decls.append(
-                    (m.group(1), self._line_of(decl_off + m.start(1))))
+        # Only public API and namespace scope matter; an initializer or
+        # unknown block is skipped.
+        if not api_visible(scopes):
             return
-
-        # Namespace scope: free-function declarations and mutable globals.
+        self._collect_params(decl, decl_off)
         m = RETURN_DOUBLE_RE.search(decl)
         if m:
             self.return_decls.append(
                 (m.group(1), self._line_of(decl_off + m.start(1))))
+        klass = next((s[1] for s in reversed(scopes) if s[0] == "class"),
+                     None)
+        if klass is not None:
+            for regex, kind in ((MEMBER_DOUBLE_RE, "double"),
+                                (MEMBER_VECTOR_RE, "vector<double>")):
+                for mm in regex.finditer(decl):
+                    self.members.append(
+                        Member(mm.group(1), self.rel,
+                               self._line_of(decl_off + mm.start(1)),
+                               kind, klass))
             return
-        if "(" in decl or GLOBAL_SKIP_RE.search(decl):
+
+        # Namespace scope: mutable globals.
+        if m or "(" in decl or GLOBAL_SKIP_RE.search(decl):
             return
         gm = GLOBAL_DECL_RE.match(decl.strip()) or \
             GLOBAL_DECL_RE.match(" " + decl.replace("\n", " ").strip())
@@ -394,6 +518,23 @@ class SourceFile:
         if m:
             self.return_decls.append(
                 (m.group(1), self._line_of(offset + m.start(1))))
+
+    def _collect_params(self, text: str, offset: int) -> None:
+        """Suffix-named raw double parameters: `double <name>_s` inside
+        the parentheses of a declaration or a definition head."""
+        if "double" not in text:
+            return
+        depth = 0
+        for col, ch in enumerate(text):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth = max(0, depth - 1)
+            elif ch == "d" and depth:
+                m = PARAM_DOUBLE_RE.match(text, col)
+                if m:
+                    self.params.append(
+                        (m.group(1), self._line_of(offset + col)))
 
     def _collect_enum(self, name: str, body: str, body_offset: int) -> None:
         enumerators = []
@@ -414,55 +555,283 @@ def body_calls(body: str) -> list:
     return calls
 
 
+def per_file(rule):
+    """Run a one-file token rule over every scanned file."""
+    def run(files, report):
+        for sf in files:
+            rule(sf, report)
+    return run
+
+
+def scan_lines(sf, report, check, patterns, message) -> None:
+    """Report the first of `patterns` that matches each stripped line;
+    `message` is formatted with `what`, the matching pattern's label."""
+    for no, line in enumerate(sf.stripped_lines, start=1):
+        for pat, what in patterns:
+            if pat.search(line):
+                report.add(check, sf, no, message.format(what=what))
+                break
+
+
 # ---------------------------------------------------------------------------
-# Optional libclang frontend
+# Rule: wall-clock
 # ---------------------------------------------------------------------------
 
+WALL_CLOCK_PATTERNS = (
+    (re.compile(r"std::chrono::(system|steady|high_resolution)_clock"),
+     "std::chrono clock"),
+    (re.compile(r"\bgettimeofday\s*\("), "gettimeofday()"),
+    (re.compile(r"\bclock_gettime\s*\("), "clock_gettime()"),
+    (re.compile(r"(?<![\w:])std::time\s*\("), "std::time()"),
+    (re.compile(r"(?<![\w:.])time\s*\(\s*(NULL|nullptr|0)?\s*\)"), "time()"),
+    (re.compile(r"(?<![\w:.])clock\s*\(\s*\)"), "clock()"),
+)
 
-def load_libclang():
-    """Return the clang.cindex module, or None when unavailable.
-
-    When present, calls inside handler/shard bodies are resolved through
-    the AST (precise receiver types) instead of by name.  The analysis
-    below only consumes the (function -> callee names) map, so both
-    frontends feed the same checkers.
-    """
-    try:
-        import clang.cindex as cindex  # type: ignore
-        cindex.Index.create()
-        return cindex
-    except Exception:
-        return None
+# src/fleet/ is process supervision: heartbeat deadlines and restart
+# backoffs pace real worker processes, so host time is the correct clock
+# there.  Nothing in fleet feeds the simulated physics (the payload
+# determinism tests pin that).  bench/ and perfbench/ are benchmark
+# harnesses: measuring host time is their purpose, and their results are
+# timings, never simulation outputs.
+WALL_CLOCK_ALLOWED_PREFIXES = ("src/obs/", "src/fleet/", "bench/",
+                               "perfbench/", "tests/obs/")
 
 
-def clang_call_graph(cindex, compile_commands, root):
-    """Best-effort (function -> callee simple names) map via libclang."""
-    graph: dict[str, set] = {}
-    try:
-        for entry in compile_commands:
-            path = entry.get("file", "")
-            if not path.startswith(root):
-                continue
-            tu = cindex.Index.create().parse(
-                path, args=[a for a in entry.get("command", "").split()[1:]
-                            if a.startswith(("-I", "-D", "-std"))])
-            stack = [tu.cursor]
-            while stack:
-                cur = stack.pop()
-                if cur.kind.name in ("FUNCTION_DECL", "CXX_METHOD") and \
-                        cur.is_definition():
-                    callees = graph.setdefault(cur.spelling, set())
-                    inner = [cur]
-                    while inner:
-                        c = inner.pop()
-                        if c.kind.name == "CALL_EXPR" and c.spelling:
-                            callees.add(c.spelling)
-                        inner.extend(c.get_children())
-                else:
-                    stack.extend(cur.get_children())
-    except Exception:
-        return None  # fall back silently: the deterministic parser rules
-    return graph
+@per_file
+def check_wall_clock(sf, report) -> None:
+    if not sf.rel.startswith(WALL_CLOCK_ALLOWED_PREFIXES):
+        scan_lines(sf, report, "wall-clock", WALL_CLOCK_PATTERNS,
+                   "{what} in simulation code: models must use simulated "
+                   "time (obs::set_sim_now / phase clocks), not host time")
+
+
+# ---------------------------------------------------------------------------
+# Rule: rng
+# ---------------------------------------------------------------------------
+
+RNG_PATTERNS = (
+    (re.compile(r"(?<![\w:.])s?rand\s*\("), "rand()/srand()"),
+    (re.compile(r"\bdrand48\s*\("), "drand48()"),
+    (re.compile(r"std::random_device"), "std::random_device"),
+)
+
+RNG_ALLOWED_PREFIXES = ("src/util/",)
+
+
+@per_file
+def check_rng(sf, report) -> None:
+    if not sf.rel.startswith(RNG_ALLOWED_PREFIXES):
+        scan_lines(sf, report, "rng", RNG_PATTERNS,
+                   "{what}: all randomness must come from ash::Rng with a "
+                   "seed derived via derive_seed (see ash/util/random.h)")
+
+
+# ---------------------------------------------------------------------------
+# Rule: unordered-iter
+# ---------------------------------------------------------------------------
+
+UNORDERED_DECL_RE = re.compile(
+    r"std::unordered_(?:map|set|multimap|multiset)\s*<[^;={]*>[&\s]+(\w+)\s*[;={(]")
+UNORDERED_ALIAS_RE = re.compile(
+    r"using\s+(\w+)\s*=\s*std::unordered_(?:map|set|multimap|multiset)\b")
+RANGE_FOR_RE = re.compile(r"\bfor\s*\(([^;]*?):([^;]*)\)\s*[{]?")
+
+
+@per_file
+def check_unordered_iter(sf, report) -> None:
+    # Names (variables and type aliases) known to be unordered in this file.
+    unordered_vars: set[str] = set()
+    alias_types: set[str] = set()
+    for line in sf.stripped_lines:
+        m = UNORDERED_DECL_RE.search(line)
+        if m:
+            unordered_vars.add(m.group(1))
+        m = UNORDERED_ALIAS_RE.search(line)
+        if m:
+            alias_types.add(m.group(1))
+    alias_decl_res = [
+        re.compile(r"\b" + re.escape(t) + r"[&\s]+(\w+)\s*[;={(]")
+        for t in alias_types
+    ]
+    for line in sf.stripped_lines:
+        for pat in alias_decl_res:
+            m = pat.search(line)
+            if m:
+                unordered_vars.add(m.group(1))
+
+    for no, line in enumerate(sf.stripped_lines, start=1):
+        m = RANGE_FOR_RE.search(line)
+        if not m:
+            continue
+        range_expr = m.group(2).strip()
+        tail = range_expr.split(".")[-1].split("->")[-1]
+        tail_name = re.match(r"(\w+)", tail)
+        direct_unordered = "unordered_" in range_expr
+        if direct_unordered or (tail_name and tail_name.group(1)
+                                in unordered_vars):
+            report.add(
+                "unordered-iter", sf, no,
+                f"range-for over unordered container '{range_expr}': "
+                "iteration order is implementation-defined; iterate a "
+                "sorted view or an ordered container when results merge")
+
+
+# ---------------------------------------------------------------------------
+# Rule: float-physics
+# ---------------------------------------------------------------------------
+
+FLOAT_RE = re.compile(r"(?<![\w.])float\b")
+PHYSICS_PREFIXES = ("src/bti/", "src/fpga/", "src/tb/", "src/mc/",
+                    "src/core/")
+
+# The exponential half of the rule: float-precision exp family calls, and
+# definitions of an approximate exponential.
+EXPF_CALL_RE = re.compile(
+    r"(?<![\w.])(?:std::)?(expf|exp2f|expm1f|exp10f)\s*\(")
+APPROX_EXP_DEF_RE = re.compile(
+    r"\b(?:float|double)\s+"
+    r"(\w*(?:fast|approx|quick|cheap)\w*?exp\w*|\w*exp\w*(?:approx|fast)\w*)"
+    r"\s*\(")
+EXP_SCOPE_PREFIXES = PHYSICS_PREFIXES + ("src/util/",)
+
+
+@per_file
+def check_float_physics(sf, report) -> None:
+    if not sf.rel.startswith(EXP_SCOPE_PREFIXES):
+        return
+    in_physics = sf.rel.startswith(PHYSICS_PREFIXES)
+    for no, line in enumerate(sf.stripped_lines, start=1):
+        if in_physics and FLOAT_RE.search(line):
+            report.add(
+                "float-physics", sf, no,
+                "float in a physics path: the models are calibrated in "
+                "double precision; use double (or a units.h strong type)")
+        m = EXPF_CALL_RE.search(line)
+        if m:
+            report.add(
+                "float-physics", sf, no,
+                f"{m.group(1)} is a single-precision exponential; use "
+                "std::exp")
+        m = APPROX_EXP_DEF_RE.search(line)
+        if m:
+            report.add(
+                "float-physics", sf, no,
+                f"'{m.group(1)}' looks like a homebrew approximate "
+                "exponential; physics and util code use std::exp")
+
+
+# ---------------------------------------------------------------------------
+# Rule: unchecked-io
+# ---------------------------------------------------------------------------
+
+# Write-capable file streams only: ostringstream cannot fail meaningfully
+# and ifstream misuse shows up as parse failures downstream.
+WRITE_STREAM_DECL_RE = re.compile(r"\bstd::o?fstream\s+(\w+)\s*[({]")
+STATE_CHECK_TEMPLATES = (
+    r"!\s*{n}\b",                                              # if (!os)
+    r"\b{n}\s*\.\s*(?:fail|good|bad|is_open|rdstate|exceptions)\s*\(",
+    r"\b(?:if|while)\s*\(\s*{n}\s*[)&|]",                      # if (os) ...
+)
+
+
+@per_file
+def check_unchecked_io(sf, report) -> None:
+    for no, line in enumerate(sf.stripped_lines, start=1):
+        m = WRITE_STREAM_DECL_RE.search(line)
+        if not m:
+            continue
+        name = re.escape(m.group(1))
+        if any(re.search(t.format(n=name), sf.stripped)
+               for t in STATE_CHECK_TEMPLATES):
+            continue
+        report.add(
+            "unchecked-io", sf, no,
+            f"write stream '{m.group(1)}' is never state-checked: a full "
+            "disk or torn write fails silently; test the stream after "
+            f"writing (e.g. `if (!{m.group(1)})`) or use "
+            "util::atomic_write_file")
+
+
+# ---------------------------------------------------------------------------
+# Rule: eintr
+# ---------------------------------------------------------------------------
+
+EINTR_SYSCALL_RE = re.compile(
+    r"::(read|write|poll|waitpid|accept4?|connect|recv|send|nanosleep)\s*\(")
+
+# The process/socket layer is the one place slow syscalls meet real
+# signals; everywhere else the repo stays on C++ iostream/filesystem APIs.
+EINTR_SCOPED_PREFIXES = ("src/fleet/",)
+
+
+@per_file
+def check_eintr(sf, report) -> None:
+    if not sf.rel.startswith(EINTR_SCOPED_PREFIXES):
+        return
+    for no, line in enumerate(sf.stripped_lines, start=1):
+        m = EINTR_SYSCALL_RE.search(line)
+        if not m:
+            continue
+        # The wrapper and the call usually share a line; clang-format may
+        # push the lambda body one or two lines down.
+        window = sf.stripped_lines[max(0, no - 3):no]
+        if any("retry_eintr" in w for w in window):
+            continue
+        report.add(
+            "eintr", sf, no,
+            f"bare ::{m.group(1)}() can fail spuriously with EINTR when a "
+            "signal lands (SIGCHLD from a dying worker, SIGTERM during "
+            "drain); wrap the call in util::retry_eintr "
+            "(ash/util/syscall.h).  ::close stays bare by design")
+
+
+# ---------------------------------------------------------------------------
+# Rule: metric-name
+# ---------------------------------------------------------------------------
+
+METRIC_REG_RE = re.compile(r"[\w)\]>]\s*\.\s*(counter|gauge|histogram)\s*\(")
+METRIC_LITERAL_RE = re.compile(
+    r"\.\s*(?:counter|gauge|histogram)\s*\(\s*\"([^\"]*)\"")
+METRIC_NAME_OK_RE = re.compile(r"^[a-z0-9_.]+$")
+
+# The ScopedKernelTimer sites: per-sample hot paths whose cost is exactly
+# what the profiler measures.  A registration there takes the registry
+# mutex inside the timed region — register at setup, dereference in the
+# kernel (see fleet::Service's latency_ array for the pattern).
+METRIC_HOT_KERNEL_FILES = (
+    "src/bti/trap_ensemble.cpp",
+    "src/fpga/ring_oscillator.cpp",
+    "src/tb/experiment_runner.cpp",
+    "src/mc/system.cpp",
+)
+
+
+@per_file
+def check_metric_name(sf, report) -> None:
+    hot = sf.rel in METRIC_HOT_KERNEL_FILES
+    for no, line in enumerate(sf.stripped_lines, start=1):
+        m = METRIC_REG_RE.search(line)
+        if not m:
+            continue
+        if hot:
+            report.add(
+                "metric-name", sf, no,
+                f".{m.group(1)}() inside an instrumented hot-path kernel: "
+                "registration locks the registry mutex per call and bills "
+                "the kernel being profiled; register once at setup and "
+                "reuse the returned reference")
+            continue
+        lm = METRIC_LITERAL_RE.search(sf.source_line(no))
+        if not lm:
+            continue  # computed name: validated by what it renders into
+        name = lm.group(1)
+        if not METRIC_NAME_OK_RE.match(name):
+            report.add(
+                "metric-name", sf, no,
+                f"metric name \"{name}\" violates [a-z0-9_.]+: dots "
+                "namespace, underscores separate words; anything else "
+                "breaks the scrape-prefix filter and the key=value dump "
+                "grammar")
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +886,7 @@ def find_handler_roots(files):
     return roots
 
 
-def check_signal_safety(files, report, call_graph=None):
+def check_signal_safety(files, report):
     by_name: dict[str, list] = {}
     for sf in files:
         for func in sf.functions:
@@ -538,39 +907,29 @@ def check_signal_safety(files, report, call_graph=None):
                 if m:
                     line = line_base + func.body.count("\n", 0, m.start())
                     report.add(
-                        "signal-safety", sf.rel, line,
+                        "signal-safety", sf, line,
                         f"'{func.qualified}' is reachable from a signal "
                         f"handler but {why}; only AS-safe operations may "
-                        "run on this path", sf.source_line(line))
-            callees = body_calls(func.body)
-            if call_graph is not None and name in call_graph:
-                # libclang resolved this body: drop textual matches it
-                # does not confirm (template/type-name noise), keeping
-                # the textual offsets for line numbers.
-                confirmed = call_graph[name]
-                callees = [(c, o) for c, o in callees
-                           if c.split("::")[-1] in confirmed
-                           or c in confirmed]
-            for callee, off in callees:
+                        "run on this path")
+            for callee, off in body_calls(func.body):
                 simple = callee.split("::")[-1]
                 line = line_base + func.body.count("\n", 0, off)
                 if simple in AS_SAFE_CALLS:
                     continue
                 if simple in AS_UNSAFE_CALLS:
                     report.add(
-                        "signal-safety", sf.rel, line,
+                        "signal-safety", sf, line,
                         f"'{callee}' called on the signal-handler path "
-                        f"from '{func.qualified}': {AS_UNSAFE_CALLS[simple]}",
-                        sf.source_line(line))
+                        f"from '{func.qualified}': {AS_UNSAFE_CALLS[simple]}")
                 elif simple in by_name:
                     queue.append(simple)
                 else:
                     report.add(
-                        "signal-safety", sf.rel, line,
+                        "signal-safety", sf, line,
                         f"'{callee}' called on the signal-handler path "
                         f"from '{func.qualified}' is not on the AS-safe "
                         "allowlist; prove it safe and pin it, or move the "
-                        "work out of the handler", sf.source_line(line))
+                        "work out of the handler")
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +973,7 @@ def shard_lambda_spans(sf):
     return spans
 
 
-def check_shard_purity(files, report, call_graph=None):
+def check_shard_purity(files, report):
     by_name: dict[str, list] = {}
     for sf in files:
         for func in sf.functions:
@@ -632,32 +991,30 @@ def check_shard_purity(files, report, call_graph=None):
             for m in regex.finditer(body):
                 line = line_base + body.count("\n", 0, m.start())
                 report.add(
-                    "shard-purity", sf.rel, line,
+                    "shard-purity", sf, line,
                     f"{context} {what} — sharded loops must be "
-                    "bit-identical at any thread count",
-                    sf.source_line(line))
+                    "bit-identical at any thread count")
         for m in STATIC_LOCAL_RE.finditer(body):
             line = line_base + body.count("\n", 0, m.start())
             report.add(
-                "shard-purity", sf.rel, line,
+                "shard-purity", sf, line,
                 f"{context} declares mutable static local "
                 f"'{m.group(1)}': shared across shards, ordering is "
-                "scheduler-dependent", sf.source_line(line))
+                "scheduler-dependent")
         for gname, _ in sf.globals.items():
             gre = re.compile(r"(?<![\w.])" + re.escape(gname) + r"\b")
             m = gre.search(body)
             if m:
                 line = line_base + body.count("\n", 0, m.start())
                 report.add(
-                    "shard-purity", sf.rel, line,
+                    "shard-purity", sf, line,
                     f"{context} touches file-scope mutable '{gname}': "
-                    "shard bodies may only write state they own by index",
-                    sf.source_line(line))
+                    "shard bodies may only write state they own by index")
 
     def resolve(callee: str, rel: str) -> list:
         """Same-file definitions first; across files only when the simple
         name is project-unique (a name-based resolver cannot pick between
-        the many `run`s and `evolve`s — a documented fallback limit)."""
+        the many `run`s and `evolve`s — a documented parser limit)."""
         simple = callee.split("::")[-1]
         cands = by_name.get(simple, [])
         same_file = [c for c in cands if c[0].rel == rel]
@@ -710,6 +1067,17 @@ RATE_NAME_RE = re.compile(r"_per_(?:s|v|k|c|hz)$")
 UNIT_FLOW_PREFIX = "src/"
 UNIT_FLOW_EXEMPT = ("src/util/include/ash/util/units.h",)
 
+# Parameters are checked on the physics modules' public headers only; the
+# core/obs/util APIs still take a few raw suffix-named doubles.
+PARAM_SCOPE_RE = re.compile(r"src/(?:bti|fpga|tb|mc)/include/")
+
+
+def unit_type(name: str):
+    """`ash::<Type>` for a suffix-named quantity, or None for a rate."""
+    if RATE_NAME_RE.search(name):
+        return None
+    return "ash::" + UNIT_TYPE_FOR_SUFFIX[name.rsplit("_", 1)[1]]
+
 
 def check_unit_flow(files, report):
     for sf in files:
@@ -718,30 +1086,33 @@ def check_unit_flow(files, report):
         if sf.rel in UNIT_FLOW_EXEMPT:
             continue
         for member in sf.members:
-            if RATE_NAME_RE.search(member.name):
+            want = unit_type(member.name)
+            if want is None:
                 continue
-            suffix = member.name.rsplit("_", 1)[1]
-            want = UNIT_TYPE_FOR_SUFFIX[suffix]
-            if member.kind == "double":
-                fix = f"ash::{want}"
-            else:
-                fix = f"std::vector<ash::{want}>"
+            fix = want if member.kind == "double" else \
+                f"std::vector<{want}>"
             report.add(
-                "unit-flow", sf.rel, member.line,
+                "unit-flow", sf, member.line,
                 f"public member '{member.owner}::{member.name}' is a raw "
                 f"{member.kind}; use {fix} so the unit rides the type "
-                "through serialization and call chains",
-                sf.source_line(member.line))
+                "through serialization and call chains")
         for name, line in sf.return_decls:
-            if RATE_NAME_RE.search(name):
-                continue
-            suffix = name.rsplit("_", 1)[1]
-            want = UNIT_TYPE_FOR_SUFFIX[suffix]
-            report.add(
-                "unit-flow", sf.rel, line,
-                f"'{name}' returns a raw double; return ash::{want} so "
-                "callers cannot mistake the unit",
-                sf.source_line(line))
+            want = unit_type(name)
+            if want is not None:
+                report.add(
+                    "unit-flow", sf, line,
+                    f"'{name}' returns a raw double; return {want} so "
+                    "callers cannot mistake the unit")
+        if not PARAM_SCOPE_RE.match(sf.rel):
+            continue
+        for name, line in sf.params:
+            want = unit_type(name)
+            if want is not None:
+                report.add(
+                    "unit-flow", sf, line,
+                    f"parameter 'double {name}' on a public API: use "
+                    f"{want} from ash/util/units.h so the unit is part of "
+                    "the type")
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +1126,7 @@ PROTOCOL_TESTS_DIR = "tests/fleet"
 VIOLATION_SENTINELS = ("kNone", "kCount")
 
 
-def check_protocol(files, report, root):
+def check_protocol(files, report):
     header = impl = None
     for sf in files:
         if sf.rel == PROTOCOL_HEADER:
@@ -765,8 +1136,10 @@ def check_protocol(files, report, root):
     if header is None or impl is None:
         return  # nothing to check in this tree (fixture roots)
 
+    # The tests are read from disk whatever paths were scanned.
+    tests_dir = os.path.join(header.path[:-len(PROTOCOL_HEADER)],
+                             PROTOCOL_TESTS_DIR)
     tests_text = ""
-    tests_dir = os.path.join(root, PROTOCOL_TESTS_DIR)
     if os.path.isdir(tests_dir):
         for name in sorted(os.listdir(tests_dir)):
             if name.endswith(CXX_EXTENSIONS):
@@ -776,7 +1149,6 @@ def check_protocol(files, report, root):
 
     struct_names = {m.group(1) for m in re.finditer(
         r"\bstruct\s+(\w+)", header.code)}
-    impl_code = impl.code
 
     for enum in header.enums:
         if enum.name == "MessageType":
@@ -785,12 +1157,7 @@ def check_protocol(files, report, root):
                 missing = []
                 if struct not in struct_names:
                     missing.append("a payload codec struct in protocol.h")
-                else:
-                    if not re.search(r"\b%s::encode\b" % struct, impl_code):
-                        missing.append(f"{struct}::encode in protocol.cpp")
-                    if not re.search(r"\b%s::parse\b" % struct, impl_code):
-                        missing.append(f"{struct}::parse in protocol.cpp")
-                if f"MessageType::{name}" not in impl_code:
+                if f"MessageType::{name}" not in impl.code:
                     missing.append("a to_string classification in "
                                    "protocol.cpp")
                 if name not in tests_text:
@@ -798,30 +1165,44 @@ def check_protocol(files, report, root):
                                    f"{PROTOCOL_TESTS_DIR}/ referencing it")
                 if missing:
                     report.add(
-                        "protocol-exhaustiveness", header.rel, line,
+                        "protocol-exhaustiveness", header, line,
                         f"MessageType::{name} lacks " + "; ".join(missing) +
                         " — every wire verb ships with its codec and its "
-                        "hostile-input proof", header.source_line(line))
+                        "hostile-input proof")
         elif enum.name == "ProtocolViolation":
             for name, line in enum.enumerators:
                 if name in VIOLATION_SENTINELS:
                     continue
                 missing = []
-                if f"ProtocolViolation::{name}" not in impl_code:
+                if f"ProtocolViolation::{name}" not in impl.code:
                     missing.append("a classification site in protocol.cpp")
                 if name not in tests_text:
                     missing.append(f"a hostile-input test under "
                                    f"{PROTOCOL_TESTS_DIR}/")
                 if missing:
                     report.add(
-                        "protocol-exhaustiveness", header.rel, line,
+                        "protocol-exhaustiveness", header, line,
                         f"ProtocolViolation::{name} lacks " +
-                        "; ".join(missing), header.source_line(line))
+                        "; ".join(missing))
 
 
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
+
+CHECKS = {
+    "wall-clock": check_wall_clock,
+    "rng": check_rng,
+    "unordered-iter": check_unordered_iter,
+    "float-physics": check_float_physics,
+    "unchecked-io": check_unchecked_io,
+    "eintr": check_eintr,
+    "metric-name": check_metric_name,
+    "signal-safety": check_signal_safety,
+    "shard-purity": check_shard_purity,
+    "unit-flow": check_unit_flow,
+    "protocol-exhaustiveness": check_protocol,
+}
 
 
 def iter_source_files(root, paths):
@@ -844,34 +1225,22 @@ def iter_source_files(root, paths):
                     yield p, os.path.relpath(p, root)
 
 
-def load_compile_commands(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ash_check",
-        description="semantic static analysis (call graphs, unit flow, "
-        "protocol exhaustiveness) for the ash lab")
-    parser.add_argument("paths", nargs="*", default=["src", "tools"],
+        description="determinism, units, call-graph and protocol static "
+        "analysis for the ash lab")
+    parser.add_argument("paths", nargs="*", default=list(DEFAULT_PATHS),
                         help="files or directories relative to --root "
-                        "(default: src tools)")
-    parser.add_argument("--root", default=".", help="repository root")
-    parser.add_argument("--compile-commands", default=None,
-                        help="compile_commands.json (default: "
-                        "<root>/build/compile_commands.json when present); "
-                        "restricts analysis to files the build graph knows "
-                        "plus headers")
+                        f"(default: {' '.join(DEFAULT_PATHS)})")
+    parser.add_argument("--root", default=".",
+                        help="repository root (default: cwd)")
     parser.add_argument("--json", action="store_true",
                         help="emit findings as JSON on stdout")
-    parser.add_argument("--check", action="append", choices=CHECKS,
+    parser.add_argument("--check", action="append", choices=list(CHECKS),
                         help="run only the named check(s)")
-    parser.add_argument("--frontend", choices=("auto", "clang", "fallback"),
-                        default="auto",
-                        help="auto prefers libclang when importable; "
-                        "fallback forces the self-contained parser")
-    parser.add_argument("--list-checks", action="store_true")
+    parser.add_argument("--list-checks", action="store_true",
+                        help="list check names and exit")
     args = parser.parse_args(argv)
 
     if args.list_checks:
@@ -885,43 +1254,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    cc_path = args.compile_commands
-    if cc_path is None:
-        default_cc = os.path.join(root, "build", "compile_commands.json")
-        cc_path = default_cc if os.path.isfile(default_cc) else ""
-    compile_commands = None
-    if cc_path:
-        try:
-            compile_commands = load_compile_commands(cc_path)
-        except (OSError, json.JSONDecodeError) as err:
-            print(f"ash_check: cannot read compile commands {cc_path}: "
-                  f"{err}", file=sys.stderr)
-            return 2
-
-    known_tus = None
-    if compile_commands is not None:
-        known_tus = set()
-        for entry in compile_commands:
-            p = entry.get("file", "")
-            if not os.path.isabs(p):
-                p = os.path.join(entry.get("directory", ""), p)
-            known_tus.add(os.path.realpath(p))
-
-    checks = args.check if args.check else list(CHECKS)
-
-    files = []
     try:
-        for path, rel in iter_source_files(root, args.paths):
-            # Headers are always parsed (compile_commands never lists
-            # them); TUs are cross-checked against the build graph so a
-            # file the build does not compile cannot silently pass.
-            if known_tus is not None and path.endswith((".cpp", ".cc",
-                                                        ".cxx")):
-                if os.path.realpath(path) not in known_tus and \
-                        rel.replace(os.sep, "/").startswith("src/"):
-                    print(f"ash_check: warning: {rel} not in compile "
-                          "commands; analyzing anyway", file=sys.stderr)
-            files.append(SourceFile(path, rel))
+        files = [SourceFile(path, rel)
+                 for path, rel in iter_source_files(root, args.paths)]
     except OSError as err:
         print(f"ash_check: {err}", file=sys.stderr)
         return 2
@@ -930,25 +1265,10 @@ def main(argv=None) -> int:
         print("ash_check: no source files matched", file=sys.stderr)
         return 2
 
-    call_graph = None
-    if args.frontend in ("auto", "clang"):
-        cindex = load_libclang()
-        if cindex is not None and compile_commands is not None:
-            call_graph = clang_call_graph(cindex, compile_commands, root)
-        elif args.frontend == "clang":
-            print("ash_check: --frontend clang requested but clang.cindex "
-                  "is not importable", file=sys.stderr)
-            return 2
-
     report = Report()
-    if "signal-safety" in checks:
-        check_signal_safety(files, report, call_graph)
-    if "shard-purity" in checks:
-        check_shard_purity(files, report, call_graph)
-    if "unit-flow" in checks:
-        check_unit_flow(files, report)
-    if "protocol-exhaustiveness" in checks:
-        check_protocol(files, report, root)
+    for name, run in CHECKS.items():
+        if not args.check or name in args.check:
+            run(files, report)
 
     report.findings.sort(key=lambda f: (f.path, f.line, f.check))
 
@@ -961,7 +1281,6 @@ def main(argv=None) -> int:
             "counts": counts,
             "files_scanned": len(files),
             "suppressed": len(report.suppressed),
-            "frontend": "clang" if call_graph is not None else "fallback",
         }, indent=2))
     else:
         for f in report.findings:

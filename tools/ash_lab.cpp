@@ -345,7 +345,7 @@ int cmd_population(const Flags& flags) {
 
   // Harness wall time around the sweep (reported, never fed back into the
   // physics) — the same legitimacy as the bench timers.
-  const auto t0 = std::chrono::steady_clock::now();  // ash-lint: allow(wall-clock): harness timer, never feeds physics
+  const auto t0 = std::chrono::steady_clock::now();  // ash-check: allow(wall-clock): harness timer, never feeds physics
   for (int s = 0; s < steps; ++s) {
     bti::OperatingCondition cond;
     cond.voltage_v = Volts{1.2};
@@ -353,7 +353,7 @@ int cmd_population(const Flags& flags) {
     cond.gate_stress_duty = 1.0;
     batch.evolve(cond, Seconds{60.0});
   }
-  const auto t1 = std::chrono::steady_clock::now();  // ash-lint: allow(wall-clock): harness timer, never feeds physics
+  const auto t1 = std::chrono::steady_clock::now();  // ash-check: allow(wall-clock): harness timer, never feeds physics
 
   const std::vector<double> shifts = batch.delta_vth_all();
   double lo = shifts.front(), hi = shifts.front(), sum = 0.0;
@@ -451,7 +451,8 @@ int cmd_multicore(const Flags& flags) {
                fmt_fixed(r.mean_end_delta_vth_v.value() * 1e3, 2),
                r.margin_exceeded
                    ? fmt_fixed(r.time_to_first_margin_s.value() / 86400.0, 0)
-                   : ">" + fmt_fixed(cfg.horizon_s.value() / 86400.0, 0),
+                   : std::string(">").append(
+                         fmt_fixed(cfg.horizon_s.value() / 86400.0, 0)),
                fmt_fixed(r.demand_deficit_core_s.value() / 86400.0, 1),
                strformat("%d", out.report.permanent_deaths)});
     total.merge(out.report);
