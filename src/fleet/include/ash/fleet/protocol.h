@@ -191,9 +191,15 @@ struct Frame {
   std::string payload;
 };
 
-/// Encode one frame (header + CRCs + payload).
+/// Encode one frame (header + CRCs + payload).  Throws ProtocolError for
+/// a payload over kMaxFramePayload.
 std::string frame_message(MessageType type, std::uint64_t request_id,
                           std::string_view payload);
+
+/// Encode a server's reply frame.  A payload over kMaxFramePayload is
+/// replaced by a kBadRequest ErrorResponse with the same request id, so
+/// no reply, however large, fails to frame.
+std::string frame_reply(const Frame& reply);
 
 /// Verify and unwrap a complete frame held in one buffer.  Throws
 /// ProtocolError on any violation (tests exercise every truncation

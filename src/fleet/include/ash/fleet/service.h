@@ -112,14 +112,14 @@ struct ServiceConfig {
   /// histograms.  Off, the request path performs no clock reads at all
   /// (null histogram pointers; see obs::ScopedLatencyTimer).
   bool instrument = true;
-  /// When nonempty, the flight recorder persists here: at every durable
-  /// write (log append or snapshot), periodically from the poll loop, at
-  /// drain, and best-effort from the fatal-signal handler.
+  /// When nonempty, the flight recorder's ring lives in this file (a
+  /// shared mapping, truncated at startup): every event is in the page
+  /// cache at once and survives SIGKILL and fatal signals; it is made
+  /// power-loss durable at every snapshot and at drain.  The service throws
+  /// at construction when the file cannot be created.
   std::string flight_recorder_path;
   /// Ring capacity; 0 disables the recorder (record() = one branch).
   std::size_t flight_recorder_capacity = 256;
-  /// Poll iterations between periodic flight-recorder persists.
-  int flight_flush_every_polls = 64;
 };
 
 /// One booked recovery-sleep window.
@@ -371,7 +371,8 @@ class Service {
   Frame respond_profile(const Frame& request);
   Frame respond_health(const Frame& request);
   /// Compact: durably snapshot the whole state, prune old snapshots and
-  /// segments, and start the next log segment at the current sequence.
+  /// segments, start the next log segment at the current sequence, and
+  /// make the flight ring durable (msync).
   void save_state();
   /// Write-ahead one mutation record to the live segment (opened on first
   /// use), compacting once the segment holds kCompactEvery records.
@@ -381,10 +382,6 @@ class Service {
   /// out-of-sequence record; segments that start anywhere else are stale
   /// and removed.
   void replay_log();
-  /// Best-effort atomic persist of the flight recorder (no-op when
-  /// unconfigured; persistence failures are swallowed — telemetry must
-  /// never take the daemon down).
-  void persist_flight();
   /// Latency histogram for a request type (nullptr when uninstrumented).
   obs::Histogram* latency_histogram(MessageType type) const;
 

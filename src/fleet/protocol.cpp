@@ -240,6 +240,20 @@ std::string frame_message(MessageType type, std::uint64_t request_id,
   return out;
 }
 
+std::string frame_reply(const Frame& reply) {
+  if (reply.payload.size() <= kMaxFramePayload) {
+    return frame_message(reply.type, reply.request_id, reply.payload);
+  }
+  ErrorResponse err;
+  err.status = Status::kBadRequest;
+  err.message = std::string("the ") + to_string(reply.type) + " reply of " +
+                std::to_string(reply.payload.size()) +
+                " bytes exceeds the frame cap of " +
+                std::to_string(kMaxFramePayload) + " bytes";
+  return frame_message(MessageType::kErrorResponse, reply.request_id,
+                       err.encode());
+}
+
 Frame decode_frame(std::string_view bytes, std::uint64_t max_payload) {
   const std::uint64_t total = check_frame_prefix(bytes, max_payload);
   if (total == 0) {
@@ -399,7 +413,14 @@ void put_value(std::string& out, units::detail::Quantity<Tag> v) {
   out += fmt_double(v.value());
 }
 void put_value(std::string& out, Status v) { out += to_string(v); }
+/// A text value is the rest of its line and '-' spells the empty string,
+/// so a newline inside it, or the value "-" itself, has no encoding that
+/// parses back: refuse to emit it.
 void put_value(std::string& out, const std::string& v) {
+  if (v == "-" || v.find('\n') != std::string::npos) {
+    throw ProtocolError("text value " + quote(v) +
+                        " has no encoding (a newline, or a lone '-')");
+  }
   out += v.empty() ? std::string_view("-") : std::string_view(v);
 }
 
@@ -494,7 +515,14 @@ void put(std::string& out, const T& msg, const Rows<T, Row>& rows) {
     if constexpr (std::is_class_v<Row>) {
       for (const Column<Row>& c : kFields<Row>) {
         out += ' ';
+        const std::size_t start = out.size();
         std::visit([&](auto m) { put_value(out, row.*m); }, c.member);
+        // Columns split at spaces; only the last one may hold any.
+        if (&c != std::end(kFields<Row>) - 1 &&
+            out.find(' ', start) != std::string::npos) {
+          bad_field(c.key, "holds a space, which would split its row: " +
+                               quote(std::string_view(out).substr(start)));
+        }
       }
     } else {
       out += ' ';

@@ -1,6 +1,5 @@
 #include "ash/fleet/service.h"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -57,21 +56,17 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0) {
 volatile std::sig_atomic_t g_stop = 0;
 void handle_stop(int) { g_stop = 1; }
 
-// --- Fatal-signal flight dump --------------------------------------------
-// A crashing daemon tries to leave its flight recorder on disk.  The
-// handler uses only async-signal-safe calls: sigaction/open/close/rename/
-// raise plus FlightRecorder::record/write_fd (atomics and stack buffers).
-// The dump goes to a temp name first and renames over the periodic dump
-// only when every write succeeded — a half-written crash dump must never
-// clobber a complete periodic one.
+// --- Fatal-signal flight event ------------------------------------------
+// The flight recorder's ring is a shared file mapping, so a crashing daemon
+// leaves it on disk without writing anything: the handler only records the
+// signal (atomics into the mapping) and re-raises it under the previous
+// disposition.  Every call here is async-signal-safe.
 
 constexpr int kFatalSignals[] = {SIGSEGV, SIGABRT, SIGBUS, SIGFPE};
 constexpr int kFatalSignalCount =
     static_cast<int>(sizeof kFatalSignals / sizeof kFatalSignals[0]);
 
 obs::FlightRecorder* g_fatal_recorder = nullptr;
-char g_fatal_path[512] = {0};
-char g_fatal_tmp[520] = {0};
 struct sigaction g_old_fatal[kFatalSignalCount];
 
 void handle_fatal(int sig) {
@@ -80,17 +75,21 @@ void handle_fatal(int sig) {
   for (int i = 0; i < kFatalSignalCount; ++i) {
     ::sigaction(kFatalSignals[i], &g_old_fatal[i], nullptr);
   }
-  if (g_fatal_recorder != nullptr && g_fatal_path[0] != '\0') {
+  if (g_fatal_recorder != nullptr) {
     g_fatal_recorder->record(obs::FlightEventKind::kFatalSignal,
                              static_cast<std::uint64_t>(sig));
-    const int fd = ::open(g_fatal_tmp, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd >= 0) {
-      const bool ok = g_fatal_recorder->write_fd(fd);
-      ::close(fd);
-      if (ok) (void)::rename(g_fatal_tmp, g_fatal_path);
-    }
   }
   (void)::raise(sig);
+}
+
+/// A kBadRequest reply carrying `what` on one line: the message is a text
+/// field, which the codec refuses to encode with a newline inside.
+Frame bad_request(std::uint64_t request_id, std::string what) {
+  std::replace(what.begin(), what.end(), '\n', ' ');
+  ErrorResponse err;
+  err.status = Status::kBadRequest;
+  err.message = std::move(what);
+  return Frame{MessageType::kErrorResponse, request_id, err.encode()};
 }
 
 std::string errno_message(const char* what) {
@@ -527,7 +526,8 @@ Service::Service(ServiceConfig config)
     : config_(std::move(config)),
       state_store_(config_.state_dir),
       model_(config_.physics),
-      recorder_(config_.flight_recorder_capacity) {
+      recorder_(config_.flight_recorder_capacity,
+                config_.flight_recorder_path) {
   if (config_.devices < 1 || config_.devices > ServiceState::kMaxDevices) {
     throw std::invalid_argument("service: device count outside 1.." +
                                 std::to_string(ServiceState::kMaxDevices));
@@ -660,7 +660,9 @@ void Service::save_state() {
     obs::instant(obs::EventKind::kFleetSnapshot, "state", "fleet.service",
                  {{"sequence", std::to_string(state_.sequence)}});
   }
-  persist_flight();
+  // Each compaction makes the flight ring power-loss durable too; between
+  // them the mapped ring needs no syscall to survive a kill.
+  (void)recorder_.sync();
 }
 
 void Service::append_record(const MutationRecord& record) {
@@ -674,16 +676,6 @@ void Service::append_record(const MutationRecord& record) {
   segment_bytes_ += MutationRecord::kBytes;
   ++stats_.log_appends;
   if (config_.instrument) last_persist_ns_ = elapsed_ns(t0);
-}
-
-void Service::persist_flight() {
-  if (config_.flight_recorder_path.empty() || !recorder_.enabled()) return;
-  try {
-    util::atomic_write_file(config_.flight_recorder_path,
-                            recorder_.serialize());
-  } catch (const std::exception&) {
-    // Best-effort telemetry: a full disk must never take the daemon down.
-  }
 }
 
 obs::Histogram* Service::latency_histogram(MessageType type) const {
@@ -750,17 +742,9 @@ Frame Service::respond(const Frame& request) {
                             to_string(request.type));
     }
   } catch (const ProtocolError& e) {
-    ErrorResponse err;
-    err.status = Status::kBadRequest;
-    err.message = e.what();
-    return Frame{MessageType::kErrorResponse, request.request_id,
-                 err.encode()};
+    return bad_request(request.request_id, e.what());
   } catch (const std::invalid_argument& e) {
-    ErrorResponse err;
-    err.status = Status::kBadRequest;
-    err.message = e.what();
-    return Frame{MessageType::kErrorResponse, request.request_id,
-                 err.encode()};
+    return bad_request(request.request_id, e.what());
   }
 }
 
@@ -940,11 +924,7 @@ Frame Service::respond_schedule_sleep(const Frame& request) {
                   {"request_id", std::to_string(request.request_id)},
                   {"device", std::to_string(req.device_id)}});
   }
-  if (log_records() >= kCompactEvery) {
-    save_state();  // compaction persists the flight recorder too
-  } else {
-    persist_flight();
-  }
+  if (log_records() >= kCompactEvery) save_state();
   ++stats_.mutations;
   return ack(windows_after);
 }
@@ -1071,16 +1051,12 @@ void Service::run() {
   sigemptyset(&ignore_pipe.sa_mask);
   ::sigaction(SIGPIPE, &ignore_pipe, &old_pipe);
 
-  // Fatal-signal best-effort flight dump (restored on return).
-  const bool fatal_dump =
-      recorder_.enabled() && !config_.flight_recorder_path.empty() &&
-      config_.flight_recorder_path.size() + 7 < sizeof g_fatal_path;
-  if (fatal_dump) {
+  // Fatal signals land in the flight ring (restored on return); only a
+  // file-backed ring outlives the crash.
+  const bool fatal_record =
+      recorder_.enabled() && !config_.flight_recorder_path.empty();
+  if (fatal_record) {
     g_fatal_recorder = &recorder_;
-    std::snprintf(g_fatal_path, sizeof g_fatal_path, "%s",
-                  config_.flight_recorder_path.c_str());
-    std::snprintf(g_fatal_tmp, sizeof g_fatal_tmp, "%s.fatal",
-                  config_.flight_recorder_path.c_str());
     struct sigaction fatal_action{};
     fatal_action.sa_handler = handle_fatal;
     sigemptyset(&fatal_action.sa_mask);
@@ -1096,12 +1072,6 @@ void Service::run() {
 
   while (g_stop == 0) {
     ++health_.poll_iterations;
-    if (config_.flight_flush_every_polls > 0 &&
-        health_.poll_iterations % static_cast<std::uint64_t>(
-                                      config_.flight_flush_every_polls) ==
-            0) {
-      persist_flight();
-    }
     fds.clear();
     fds.push_back(pollfd{listen_fd, POLLIN, 0});
     for (const Conn& c : conns) {
@@ -1213,8 +1183,7 @@ void Service::run() {
       for (std::size_t r = 0; r < responses.size(); ++r) {
         Conn& c = conns[tick_requests[r].first];
         if (c.dead) continue;
-        c.outbox += frame_message(responses[r].type, responses[r].request_id,
-                                  responses[r].payload);
+        c.outbox += frame_reply(responses[r]);
         if (obs::tracing()) {
           obs::instant(
               obs::EventKind::kFleetAck, to_string(responses[r].type),
@@ -1299,13 +1268,13 @@ void Service::run() {
   }
 
   recorder_.record(obs::FlightEventKind::kDrainEnd);
-  persist_flight();
+  (void)recorder_.sync();
 
   ::unlink(config_.socket_path.c_str());
   ::sigaction(SIGTERM, &old_term, nullptr);
   ::sigaction(SIGINT, &old_int, nullptr);
   ::sigaction(SIGPIPE, &old_pipe, nullptr);
-  if (fatal_dump) {
+  if (fatal_record) {
     for (int i = 0; i < kFatalSignalCount; ++i) {
       ::sigaction(kFatalSignals[i], &g_old_fatal[i], nullptr);
     }

@@ -9,8 +9,9 @@ namespace ash::mc {
 
 namespace {
 
-/// Fixed-iteration bisection keeps the answer bit-deterministic across
-/// platforms and runs (the fleet protocol's transcript invariant).
+/// Bisection capped at a fixed iteration count keeps the answer
+/// bit-deterministic across platforms and runs (the fleet protocol's
+/// transcript invariant).
 constexpr int kBisectIterations = 200;
 
 /// Largest projection time we ever evaluate: ~3e11 years.  The log law is
@@ -41,12 +42,20 @@ void validate(const MarginQuery& q) {
 
 /// Smallest t in [0, hi] with delta(t) >= target, assuming delta is
 /// monotone nondecreasing and delta(hi) >= target.
+///
+/// The loop stops early, exactly: once `mid` equals `lo` or `hi` the two
+/// are adjacent doubles, and the invariant delta(lo) < target <= delta(hi)
+/// makes every remaining iteration rewrite one of them with itself.  (An
+/// unmoved lo = 0 may break the left half of the invariant when target is
+/// 0, but mid == 0 needs hi at the smallest subnormal, which 200 halvings
+/// cannot reach from any hi >= 1e19 * 2^-200 the callers pass.)
 double bisect_first_reach(const bti::ClosedFormModel& model,
                           const bti::OperatingCondition& c, double target,
                           double hi) {
   double lo = 0.0;
   for (int i = 0; i < kBisectIterations; ++i) {
     const double mid = 0.5 * (lo + hi);
+    if (mid == lo || mid == hi) break;
     if (model.stress_delta_vth(Seconds{mid}, c) >= target) {
       hi = mid;
     } else {

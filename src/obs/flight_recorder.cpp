@@ -1,20 +1,49 @@
 #include "ash/obs/flight_recorder.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <system_error>
 
+#include "ash/util/atomic_file.h"
+#include "ash/util/le_bytes.h"
 #include "ash/util/table.h"
 
 namespace ash::obs {
 
 namespace {
 
-constexpr char kHeader[] = "ash-flight-recorder v1";
+// The mapped words are the image's little-endian words, stored natively.
+static_assert(std::endian::native == std::endian::little,
+              "the flight-recorder image is little-endian");
+static_assert(std::atomic_ref<std::uint64_t>::is_always_lock_free,
+              "record() must stay lock-free and async-signal-safe");
+
+constexpr char kMagic[] = "ash-flight-recorder v2\n";
+constexpr std::size_t kMagicBytes = sizeof kMagic - 1;
+constexpr std::size_t kRowWords = FlightRecorder::kRowBytes / 8;
+static_assert(kMagicBytes < 3 * 8, "the magic line fits header words 0-2");
+/// Header words after the magic line.
+constexpr std::size_t kCapacityWord = 3;
+constexpr std::size_t kRecordedWord = 4;
+/// Word offsets inside a slot row.
+constexpr std::size_t kStamp = 0;
+constexpr std::size_t kTime = 1;
+constexpr std::size_t kKind = 2;
+constexpr std::size_t kA = 3;
+constexpr std::size_t kB = 4;
+
+std::atomic_ref<std::uint64_t> at(std::uint64_t& word) {
+  return std::atomic_ref<std::uint64_t>(word);
+}
 
 std::uint64_t host_now_ns() {
   return static_cast<std::uint64_t>(
@@ -23,93 +52,10 @@ std::uint64_t host_now_ns() {
           .count());
 }
 
-// --- Async-signal-safe line formatting ----------------------------------
-// The fatal-signal dump path may not allocate or call printf, so every
-// line is built into a caller-owned stack buffer with these helpers; the
-// normal serialize() path reuses them, which is what makes the two dumps
-// byte-identical.
-
-void append_char(char* buf, std::size_t cap, std::size_t& pos, char c) {
-  if (pos + 1 < cap) buf[pos++] = c;
+[[noreturn]] void throw_errno(int err, const std::string& what) {
+  throw std::system_error(err, std::generic_category(),
+                          "flight recorder: " + what);
 }
-
-void append_str(char* buf, std::size_t cap, std::size_t& pos,
-                const char* s) {
-  while (*s != '\0') append_char(buf, cap, pos, *s++);
-}
-
-void append_u64(char* buf, std::size_t cap, std::size_t& pos,
-                std::uint64_t v) {
-  char digits[20];
-  int n = 0;
-  do {
-    digits[n++] = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v != 0);
-  while (n > 0) append_char(buf, cap, pos, digits[--n]);
-}
-
-/// Milliseconds with fixed three decimals (integer math only).
-void append_ms(char* buf, std::size_t cap, std::size_t& pos, double t_ms) {
-  if (t_ms < 0.0) t_ms = 0.0;
-  const std::uint64_t micros = static_cast<std::uint64_t>(t_ms * 1000.0 + 0.5);
-  append_u64(buf, cap, pos, micros / 1000);
-  append_char(buf, cap, pos, '.');
-  const std::uint64_t frac = micros % 1000;
-  append_char(buf, cap, pos, static_cast<char>('0' + frac / 100));
-  append_char(buf, cap, pos, static_cast<char>('0' + frac / 10 % 10));
-  append_char(buf, cap, pos, static_cast<char>('0' + frac % 10));
-}
-
-/// One "event ..." line; returns its length.
-std::size_t format_event_line(char* buf, std::size_t cap,
-                              const FlightRecord& e) {
-  std::size_t pos = 0;
-  append_str(buf, cap, pos, "event ");
-  append_u64(buf, cap, pos, e.seq);
-  append_char(buf, cap, pos, ' ');
-  append_ms(buf, cap, pos, e.t_ms);
-  append_char(buf, cap, pos, ' ');
-  append_str(buf, cap, pos, to_string(e.kind));
-  append_char(buf, cap, pos, ' ');
-  append_u64(buf, cap, pos, e.a);
-  append_char(buf, cap, pos, ' ');
-  append_u64(buf, cap, pos, e.b);
-  append_char(buf, cap, pos, '\n');
-  buf[pos] = '\0';
-  return pos;
-}
-
-std::size_t format_header(char* buf, std::size_t cap, std::size_t capacity,
-                          std::uint64_t recorded) {
-  std::size_t pos = 0;
-  append_str(buf, cap, pos, kHeader);
-  append_char(buf, cap, pos, '\n');
-  append_str(buf, cap, pos, "capacity ");
-  append_u64(buf, cap, pos, capacity);
-  append_char(buf, cap, pos, '\n');
-  append_str(buf, cap, pos, "recorded ");
-  append_u64(buf, cap, pos, recorded);
-  append_char(buf, cap, pos, '\n');
-  buf[pos] = '\0';
-  return pos;
-}
-
-bool write_all(int fd, const char* data, std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n > 0) {
-      done += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
-constexpr std::size_t kLineCap = 160;
 
 }  // namespace
 
@@ -143,177 +89,179 @@ FlightEventKind parse_flight_event(std::string_view name) {
   return FlightEventKind::kCount;
 }
 
-FlightRecorder::FlightRecorder(std::size_t capacity)
-    : slots_(capacity), epoch_ns_(host_now_ns()) {}
+FlightRecorder::FlightRecorder(std::size_t capacity, const std::string& path)
+    : capacity_(capacity),
+      file_backed_(capacity != 0 && !path.empty()),
+      epoch_ns_(host_now_ns()) {
+  if (capacity_ == 0) return;  // disabled: nothing mapped
+  if (capacity_ > SIZE_MAX / kRowBytes - 1) {
+    throw std::invalid_argument("flight recorder: capacity too large");
+  }
+  const std::size_t bytes = (capacity_ + 1) * kRowBytes;
+  int fd = -1;
+  if (file_backed_) {
+    fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    if (fd < 0) throw_errno(errno, "open " + path);
+    // Reserve the blocks now: a store into a hole of a full file system
+    // would raise SIGBUS in the middle of a record().
+    const int rc = ::posix_fallocate(fd, 0, static_cast<off_t>(bytes));
+    if (rc != 0) {
+      ::close(fd);
+      throw_errno(rc, "reserve " + path);
+    }
+  }
+  void* map = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     file_backed_ ? MAP_SHARED : MAP_PRIVATE | MAP_ANONYMOUS,
+                     fd, 0);
+  const int map_errno = errno;
+  if (file_backed_) ::close(fd);  // the mapping keeps the file
+  if (map == MAP_FAILED) throw_errno(map_errno, "mmap " + path);
+  words_ = static_cast<std::uint64_t*>(map);  // zero-filled
+  std::memcpy(words_, kMagic, kMagicBytes);
+  words_[kCapacityWord] = capacity_;
+  // The directory entry reaches the disk with the first sync(), which
+  // keeps the directory fsync off a restart's path to its first request.
+  if (file_backed_) unsynced_dir_ = util::dirname_of(path);
+}
+
+FlightRecorder::~FlightRecorder() {
+  if (words_ != nullptr) ::munmap(words_, (capacity_ + 1) * kRowBytes);
+}
 
 double FlightRecorder::elapsed_ms() const {
   return static_cast<double>(host_now_ns() - epoch_ns_) * 1e-6;
 }
 
+std::uint64_t FlightRecorder::recorded() const {
+  if (capacity_ == 0) return 0;
+  return at(words_[kRecordedWord]).load(std::memory_order_relaxed);
+}
+
 void FlightRecorder::record(FlightEventKind kind, std::uint64_t a,
                             std::uint64_t b) {
-  if (slots_.empty()) return;  // disabled: one branch, no clock read
+  if (capacity_ == 0) return;  // disabled: one branch, no clock read
   const std::uint64_t seq =
-      next_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  Slot& slot = slots_[static_cast<std::size_t>((seq - 1) % slots_.size())];
-  // Invalidate, fill, publish: a reader that races the fill sees either
-  // stamp 0 or mismatched stamps and drops the slot instead of tearing.
-  slot.stamp.store(0, std::memory_order_release);
-  slot.t_ms = elapsed_ms();
-  slot.kind = static_cast<std::uint32_t>(kind);
-  slot.a = a;
-  slot.b = b;
-  slot.stamp.store(seq, std::memory_order_release);
+      at(words_[kRecordedWord]).fetch_add(1, std::memory_order_relaxed) + 1;
+  const auto index = static_cast<std::size_t>((seq - 1) % capacity_);
+  std::uint64_t* slot = words_ + kRowWords * (1 + index);
+  // Invalidate, fill, publish: a reader (or a crash) that races the fill
+  // sees stamp 0 or a stale stamp and drops the slot instead of tearing.
+  at(slot[kStamp]).store(0, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  at(slot[kTime]).store(std::bit_cast<std::uint64_t>(elapsed_ms()),
+                        std::memory_order_relaxed);
+  at(slot[kKind]).store(static_cast<std::uint64_t>(kind),
+                        std::memory_order_relaxed);
+  at(slot[kA]).store(a, std::memory_order_relaxed);
+  at(slot[kB]).store(b, std::memory_order_relaxed);
+  at(slot[kStamp]).store(seq, std::memory_order_release);
+}
+
+std::uint64_t FlightRecorder::read_slot(std::size_t index,
+                                        FlightRecord& out) const {
+  std::uint64_t* slot = words_ + kRowWords * (1 + index);
+  const std::uint64_t before = at(slot[kStamp]).load(std::memory_order_acquire);
+  out.seq = before;
+  out.t_ms = std::bit_cast<double>(
+      at(slot[kTime]).load(std::memory_order_relaxed));
+  out.kind = static_cast<FlightEventKind>(
+      at(slot[kKind]).load(std::memory_order_relaxed));
+  out.a = at(slot[kA]).load(std::memory_order_relaxed);
+  out.b = at(slot[kB]).load(std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return at(slot[kStamp]).load(std::memory_order_relaxed) == before ? before
+                                                                     : 0;
 }
 
 std::vector<FlightRecord> FlightRecorder::events() const {
   std::vector<FlightRecord> out;
-  const std::uint64_t total = next_seq_.load(std::memory_order_acquire);
-  if (slots_.empty() || total == 0) return out;
-  const std::uint64_t cap = slots_.size();
+  const std::uint64_t total = recorded();
+  if (total == 0) return out;
+  const std::uint64_t cap = capacity_;
   const std::uint64_t first = total > cap ? total - cap + 1 : 1;
   out.reserve(static_cast<std::size_t>(total - first + 1));
   for (std::uint64_t seq = first; seq <= total; ++seq) {
-    const Slot& slot =
-        slots_[static_cast<std::size_t>((seq - 1) % cap)];
-    const std::uint64_t before = slot.stamp.load(std::memory_order_acquire);
     FlightRecord rec;
-    rec.seq = before;
-    rec.t_ms = slot.t_ms;
-    rec.kind = static_cast<FlightEventKind>(slot.kind);
-    rec.a = slot.a;
-    rec.b = slot.b;
-    const std::uint64_t after = slot.stamp.load(std::memory_order_acquire);
-    if (before != seq || after != seq) continue;  // torn or overwritten
+    if (read_slot(static_cast<std::size_t>((seq - 1) % cap), rec) != seq) {
+      continue;  // torn or overwritten
+    }
     out.push_back(rec);
   }
   return out;
 }
 
 std::string FlightRecorder::serialize() const {
-  char line[kLineCap];
-  std::string out;
-  out.append(line, format_header(line, sizeof line, slots_.size(),
-                                 next_seq_.load(std::memory_order_relaxed)));
-  for (const FlightRecord& e : events()) {
-    out.append(line, format_event_line(line, sizeof line, e));
+  const std::uint64_t total = recorded();
+  std::string out(kMagic, kMagicBytes);
+  out.push_back('\0');
+  util::put_u64(out, capacity_);
+  util::put_u64(out, total);
+  // Rotate so the slot of the oldest retained sequence leads.
+  const std::uint64_t start = total > capacity_ ? total % capacity_ : 0;
+  for (std::size_t k = 0; k < capacity_; ++k) {
+    FlightRecord rec;
+    const std::uint64_t stamp =
+        read_slot(static_cast<std::size_t>((start + k) % capacity_), rec);
+    util::put_u64(out, stamp);
+    util::put_u64(out, std::bit_cast<std::uint64_t>(rec.t_ms));
+    util::put_u64(out, static_cast<std::uint64_t>(rec.kind));
+    util::put_u64(out, rec.a);
+    util::put_u64(out, rec.b);
   }
-  out += "end\n";
   return out;
 }
 
-bool FlightRecorder::write_fd(int fd) const {
-  char line[kLineCap];
-  std::size_t n = format_header(line, sizeof line, slots_.size(),
-                                next_seq_.load(std::memory_order_relaxed));
-  if (!write_all(fd, line, n)) return false;
-  // Walk the ring oldest-first without allocating (fatal-signal path).
-  const std::uint64_t total = next_seq_.load(std::memory_order_acquire);
-  const std::uint64_t cap = slots_.size();
-  if (cap != 0 && total != 0) {
-    const std::uint64_t first = total > cap ? total - cap + 1 : 1;
-    for (std::uint64_t seq = first; seq <= total; ++seq) {
-      const Slot& slot =
-          slots_[static_cast<std::size_t>((seq - 1) % cap)];
-      if (slot.stamp.load(std::memory_order_acquire) != seq) continue;
-      FlightRecord rec;
-      rec.seq = seq;
-      rec.t_ms = slot.t_ms;
-      rec.kind = static_cast<FlightEventKind>(slot.kind);
-      rec.a = slot.a;
-      rec.b = slot.b;
-      n = format_event_line(line, sizeof line, rec);
-      if (!write_all(fd, line, n)) return false;
-    }
-  }
-  return write_all(fd, "end\n", 4);
-}
-
-namespace {
-
-/// Parse one decimal u64 token; false on empty/malformed.
-bool parse_u64_token(std::string_view token, std::uint64_t& out) {
-  if (token.empty() ||
-      token.find_first_not_of("0123456789") != std::string_view::npos) {
+bool FlightRecorder::sync() {
+  if (!file_backed_) return true;
+  if (::msync(words_, (capacity_ + 1) * kRowBytes, MS_SYNC) != 0) {
     return false;
   }
-  errno = 0;
-  out = std::strtoull(std::string(token).c_str(), nullptr, 10);
-  return errno != ERANGE;
-}
-
-/// Split on single spaces; a torn line yields fewer tokens and fails the
-/// caller's arity check.
-std::vector<std::string_view> split_tokens(std::string_view line) {
-  std::vector<std::string_view> out;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    const std::size_t space = line.find(' ', pos);
-    if (space == std::string_view::npos) {
-      out.push_back(line.substr(pos));
-      break;
-    }
-    out.push_back(line.substr(pos, space - pos));
-    pos = space + 1;
+  if (!unsynced_dir_.empty()) {
+    if (!util::sync_directory(unsynced_dir_)) return false;
+    unsynced_dir_.clear();
   }
-  return out;
+  return true;
 }
-
-}  // namespace
 
 std::vector<FlightRecord> FlightRecorder::load(std::string_view bytes) {
-  std::size_t pos = 0;
-  bool terminated = false;
-  const auto next_line = [&](std::string_view& line) {
-    if (pos >= bytes.size()) return false;
-    const std::size_t eol = bytes.find('\n', pos);
-    if (eol == std::string_view::npos) {
-      // No terminator: the write died mid-line.  A torn tail can end
-      // mid-*token* ("... 4096" cut to "... 4") and still look
-      // well-formed, so the missing newline itself is the tear marker.
-      line = bytes.substr(pos);
-      pos = bytes.size();
-      terminated = false;
-      return true;
-    }
-    line = bytes.substr(pos, eol - pos);
-    pos = eol + 1;
-    terminated = true;
-    return true;
-  };
-
-  std::string_view line;
-  if (!next_line(line) || line != kHeader || !terminated) {
+  if (bytes.substr(0, kMagicBytes) != std::string_view(kMagic, kMagicBytes)) {
     throw std::runtime_error(
-        "flight recorder: not a dump (missing '" + std::string(kHeader) +
-        "' header)");
+        "flight recorder: not a ring image (missing 'ash-flight-recorder "
+        "v2' magic line)");
   }
   std::vector<FlightRecord> out;
-  while (next_line(line)) {
-    if (!terminated) break;  // torn final line: drop it
-    if (line == "end") break;
-    const std::vector<std::string_view> tokens = split_tokens(line);
-    if (tokens.empty()) break;
-    if (tokens[0] == "capacity" || tokens[0] == "recorded") {
-      std::uint64_t ignored = 0;
-      if (tokens.size() != 2 || !parse_u64_token(tokens[1], ignored)) break;
+  if (bytes.size() < kRowBytes) return out;  // torn header
+  const std::uint64_t capacity = util::get_u64(bytes, 8 * kCapacityWord);
+  const std::uint64_t recorded = util::get_u64(bytes, 8 * kRecordedWord);
+  // Live stamps lie in (oldest, recorded]: 0 marks a slot being filled, a
+  // stale stamp one a crash caught before its invalidation.
+  const std::uint64_t oldest = recorded > capacity ? recorded - capacity : 0;
+  const std::uint64_t slots =
+      std::min<std::uint64_t>(capacity, bytes.size() / kRowBytes - 1);
+  for (std::uint64_t i = 0; i < slots; ++i) {
+    const std::size_t row = static_cast<std::size_t>(i + 1) * kRowBytes;
+    const auto word = [&](std::size_t w) {
+      return util::get_u64(bytes, row + 8 * w);
+    };
+    const std::uint64_t stamp = word(kStamp);
+    const std::uint64_t kind = word(kKind);
+    if (stamp <= oldest || stamp > recorded ||
+        kind >= static_cast<std::uint64_t>(FlightEventKind::kCount)) {
       continue;
     }
-    if (tokens[0] != "event" || tokens.size() != 6) break;  // torn tail
-    FlightRecord rec;
-    char* end = nullptr;
-    const std::string t_str(tokens[2]);
-    rec.t_ms = std::strtod(t_str.c_str(), &end);
-    rec.kind = parse_flight_event(tokens[3]);
-    if (!parse_u64_token(tokens[1], rec.seq) ||
-        end != t_str.c_str() + t_str.size() ||
-        rec.kind == FlightEventKind::kCount ||
-        !parse_u64_token(tokens[4], rec.a) ||
-        !parse_u64_token(tokens[5], rec.b)) {
-      break;  // first malformed line: drop it and everything after
-    }
-    out.push_back(rec);
+    out.push_back(FlightRecord{stamp, std::bit_cast<double>(word(kTime)),
+                               static_cast<FlightEventKind>(kind), word(kA),
+                               word(kB)});
   }
+  std::sort(out.begin(), out.end(),
+            [](const FlightRecord& x, const FlightRecord& y) {
+              return x.seq < y.seq;
+            });
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const FlightRecord& x, const FlightRecord& y) {
+                          return x.seq == y.seq;
+                        }),
+            out.end());
   return out;
 }
 

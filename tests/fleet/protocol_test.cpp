@@ -2,6 +2,7 @@
 
 #include <array>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -112,6 +113,25 @@ TEST(WireFrame, OversizedPayloadRefusesToFrame) {
   const std::string big(kMaxFramePayload + 1, 'p');
   EXPECT_THROW(frame_message(MessageType::kPingRequest, 1, big),
                ProtocolError);
+}
+
+TEST(WireFrame, OversizedReplyBecomesAFramedErrorWithItsRequestId) {
+  const Frame huge{MessageType::kMetricsResponse, 4242,
+                   std::string(kMaxFramePayload + 1, 'm')};
+  std::string bytes;
+  ASSERT_NO_THROW(bytes = frame_reply(huge));
+  const Frame f = decode_frame(bytes);
+  EXPECT_EQ(f.type, MessageType::kErrorResponse);
+  EXPECT_EQ(f.request_id, 4242u);
+  const ErrorResponse err = ErrorResponse::parse(f.payload);
+  EXPECT_EQ(err.status, Status::kBadRequest);
+  EXPECT_NE(err.message.find("metrics-response"), std::string::npos)
+      << err.message;
+  // A reply at the cap frames unchanged.
+  const Frame fits{MessageType::kMetricsResponse, 7,
+                   std::string(kMaxFramePayload, 'm')};
+  EXPECT_EQ(frame_reply(fits),
+            frame_message(fits.type, fits.request_id, fits.payload));
 }
 
 TEST(WireFrame, UnknownMessageTypeIsRejected) {
@@ -426,6 +446,44 @@ TEST(PayloadCodec, NumericFieldsRejectHostileValues) {
   EXPECT_THROW(ScheduleSleepResponse::parse(
                    "status weird\nnewly_applied 1\nwindows 1\n"),
                ProtocolError);
+}
+
+TEST(PayloadCodec, TextValuesThrowOnEncodeOrRoundTrip) {
+  // Text is the rest of its line and '-' spells the empty string; a value
+  // the parser would read back differently must not encode at all.
+  const std::vector<std::string> values = {
+      "",       "-",        "--",      "a-b",         "two words",
+      " lead",  "trail ",   "line\n",  "\nfirst",     "mid\nline",
+      "tab\tx", "x=1",      "kernel 9", "\x01\xff",    std::string(300, 'w')};
+  int refused = 0;
+  for (const std::string& v : values) {
+    // Encode may refuse; whatever it emits must parse back to `v`.
+    const auto check = [&](const auto& msg, auto read_back) {
+      std::string doc;
+      try {
+        doc = msg.encode();
+      } catch (const ProtocolError&) {
+        ++refused;
+        return;
+      }
+      using Msg = std::decay_t<decltype(msg)>;
+      EXPECT_EQ(read_back(Msg::parse(doc)), v);
+    };
+    ErrorResponse err;
+    err.message = v;
+    check(err, [](const ErrorResponse& m) { return m.message; });
+    MetricsRequest metrics;
+    metrics.prefix = v;
+    check(metrics, [](const MetricsRequest& m) { return m.prefix; });
+    ProfileResponse profile;
+    profile.kernels.push_back(ProfileEntry{v, 3, 9});
+    check(profile, [](const ProfileResponse& m) {
+      return m.kernels.size() == 1 ? m.kernels[0].kernel : "<rows lost>";
+    });
+  }
+  // Refused: '-' and the three newline values in each of the three
+  // fields, plus the four spaced values in the non-final kernel column.
+  EXPECT_EQ(refused, 4 * 3 + 4);
 }
 
 TEST(PayloadCodec, MessageTypeNamesAreStable) {

@@ -4,8 +4,9 @@
 ///     over the real wire with the daemon's live tallies;
 ///   * scrapes interleaved mid-session stay out of the client transcript,
 ///     so the chaos transcript-identity gate is unperturbed by watching;
-///   * a SIGKILLed daemon leaves a loadable flight-recorder dump whose
-///     events explain the life it led;
+///   * a SIGKILLed daemon leaves a loadable flight-recorder ring whose
+///     events explain the life it led, up to its newest acked booking,
+///     in one file that bookings never rename or resize;
 ///   * the SIGTERM drain's metrics dump is atomic: complete content, no
 ///     temp-file debris, readable while torn-write chaos reigns elsewhere.
 ///
@@ -13,6 +14,7 @@
 /// same harness the chaos suite and `ash_fleetd drill` use.
 
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -396,6 +398,100 @@ TEST_F(ServiceObsTest, DrainMetricsDumpIsAtomicAndComplete) {
   }
   EXPECT_TRUE(saw_drain_begin);
   EXPECT_TRUE(saw_drain_end);
+}
+
+TEST_F(ServiceObsTest, SigkilledRingHoldsTheNewestAcknowledgedBooking) {
+  const ServiceConfig config = daemon_config("acked");
+  ForkedDaemon daemon(config);
+  daemon.start();
+  constexpr std::uint64_t kBookings = 20;
+  {
+    ClientConfig cc;
+    cc.socket_path = config.socket_path;
+    cc.client_id = 5;
+    Client client(cc);
+    for (std::uint64_t i = 0; i < kBookings; ++i) {
+      ScheduleSleepRequest req;
+      req.client_id = cc.client_id;
+      req.device_id = i % config.devices;
+      (void)client.schedule_sleep(req);
+    }
+  }
+  // Acknowledged means recorded: nothing between the ack and the kill
+  // flushes the ring, yet the file holds every acknowledged booking.
+  daemon.sigkill();
+
+  const auto events =
+      obs::FlightRecorder::load(util::read_file(config.flight_recorder_path));
+  const obs::FlightRecord* newest = nullptr;
+  for (const auto& e : events) {
+    if (e.kind == obs::FlightEventKind::kMutationApplied) newest = &e;
+  }
+  ASSERT_NE(newest, nullptr);
+  EXPECT_EQ(newest->b, kBookings);  // b = the state sequence it reached
+  EXPECT_EQ(newest->a, (kBookings - 1) % config.devices);
+}
+
+TEST_F(ServiceObsTest, BookingsNeitherRenameNorResizeTheFlightFile) {
+  const ServiceConfig config = daemon_config("inode");
+  ForkedDaemon daemon(config);
+  daemon.start();
+  ClientConfig cc;
+  cc.socket_path = config.socket_path;
+  cc.client_id = 6;
+  Client client(cc);
+  ScheduleSleepRequest req;
+  req.client_id = cc.client_id;
+  (void)client.schedule_sleep(req);
+  struct stat before{};
+  ASSERT_EQ(::stat(config.flight_recorder_path.c_str(), &before), 0);
+  for (int i = 0; i < 100; ++i) {
+    req.device_id = static_cast<std::uint64_t>(i) % config.devices;
+    (void)client.schedule_sleep(req);
+  }
+  struct stat after{};
+  ASSERT_EQ(::stat(config.flight_recorder_path.c_str(), &after), 0);
+  // A rewrite-and-rename persist would show a new inode per booking; the
+  // mapped ring is one file of one size for the daemon's whole life.
+  EXPECT_EQ(after.st_ino, before.st_ino);
+  EXPECT_EQ(after.st_dev, before.st_dev);
+  EXPECT_EQ(after.st_size, before.st_size);
+  const auto events =
+      obs::FlightRecorder::load(util::read_file(config.flight_recorder_path));
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.back().kind, obs::FlightEventKind::kMutationApplied);
+  EXPECT_EQ(events.back().b, 101u);
+  EXPECT_EQ(daemon.terminate(), 0);
+}
+
+TEST_F(ServiceObsTest, RestartedDaemonRingStartsWithDaemonStart) {
+  const ServiceConfig config = daemon_config("restart");
+  ClientConfig cc;
+  cc.socket_path = config.socket_path;
+  cc.client_id = 7;
+  {
+    ForkedDaemon daemon(config);
+    daemon.start();
+    Client client(cc);
+    ScheduleSleepRequest req;
+    req.client_id = cc.client_id;
+    (void)client.schedule_sleep(req);
+    daemon.sigkill();
+  }
+  ForkedDaemon daemon(config);
+  daemon.start();
+  Client client(cc);
+  EXPECT_TRUE(client.ping());
+  // The live ring of the second life, read while it serves: a fresh ring
+  // whose first event is the restart, resumed at the acked sequence.
+  const auto events =
+      obs::FlightRecorder::load(util::read_file(config.flight_recorder_path));
+  ASSERT_GE(events.size(), 2u);
+  EXPECT_EQ(events[0].seq, 1u);
+  EXPECT_EQ(events[0].kind, obs::FlightEventKind::kDaemonStart);
+  EXPECT_EQ(events[0].a, 1u);
+  EXPECT_EQ(events[1].kind, obs::FlightEventKind::kStateLoaded);
+  EXPECT_EQ(daemon.terminate(), 0);
 }
 
 }  // namespace

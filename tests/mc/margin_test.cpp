@@ -1,6 +1,9 @@
 #include "ash/mc/margin.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -8,6 +11,7 @@
 
 #include "ash/bti/closed_form.h"
 #include "ash/bti/condition.h"
+#include "ash/util/random.h"
 #include "ash/util/units.h"
 
 namespace ash::mc {
@@ -169,6 +173,92 @@ TEST(MarginOutlook, BatchedOverloadValidatesEveryQueryUpFront) {
   EXPECT_THROW(margin_outlook(model(), std::vector<MarginQuery>{good, bad}),
                std::invalid_argument);
   EXPECT_TRUE(margin_outlook(model(), std::vector<MarginQuery>{}).empty());
+}
+
+/// The projection with the full 200-iteration bisection every time, as it
+/// stood before the bisection learned to stop once lo and hi are adjacent
+/// doubles: the reference the early exit must match bit for bit.
+double reference_bisect(const bti::ClosedFormModel& m,
+                        const bti::OperatingCondition& c, double target,
+                        double hi) {
+  double lo = 0.0;
+  for (int i = 0; i < 200; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (m.stress_delta_vth(Seconds{mid}, c) >= target) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  return hi;
+}
+
+MarginOutlook reference_outlook(const bti::ClosedFormModel& m,
+                                const MarginQuery& q) {
+  MarginOutlook out;
+  if (q.delta_vth.value() >= q.margin.value()) {
+    out.crosses = true;
+    return out;
+  }
+  const bti::OperatingCondition c =
+      q.duty > 0.0 ? bti::ac_stress(q.vdd, q.temp, q.duty)
+                   : bti::recovery(q.vdd, q.temp);
+  const double ceiling = m.stress_delta_vth(Seconds{1e19}, c);
+  out.time_to_margin = q.horizon;
+  if (ceiling < q.margin.value() || ceiling < q.delta_vth.value()) {
+    return out;
+  }
+  const double t0 = reference_bisect(m, c, q.delta_vth.value(), 1e19);
+  if (m.stress_delta_vth(Seconds{t0 + q.horizon.value()}, c) <
+      q.margin.value()) {
+    return out;
+  }
+  const double t_cross =
+      reference_bisect(m, c, q.margin.value(), t0 + q.horizon.value());
+  out.crosses = true;
+  out.time_to_margin = Seconds{std::max(0.0, t_cross - t0)};
+  return out;
+}
+
+TEST(MarginOutlook, EarlyExitBisectionIsBitIdenticalToTheFullLoop) {
+  // A seeded grid over every query field, with the edges the invariant
+  // argument leans on: zero shift (target 0), zero and tiny horizons,
+  // pure recovery and full duty.
+  const bti::ClosedFormModel m = model();
+  const double horizons[] = {0.0, 1e-9, 1.0, 3600.0, 3.15576e8, 1e15};
+  std::uint64_t state = 0x5EED'B15EC7;
+  const auto uniform = [&] {
+    return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
+  };
+  std::vector<MarginQuery> queries;
+  for (int i = 0; i < 1500; ++i) {
+    MarginQuery q;
+    q.delta_vth = Volts{i % 5 == 0 ? 0.0 : 15e-3 * uniform()};
+    q.margin = Volts{1e-3 + 19e-3 * uniform()};
+    q.duty = i % 7 == 0 ? 0.0 : (i % 7 == 1 ? 1.0 : uniform());
+    q.vdd = Volts{0.8 + 1.7 * uniform()};
+    q.temp = Celsius{125.0 * uniform()};
+    q.horizon = Seconds{i % 3 == 0 ? horizons[i % 6]
+                                   : std::pow(10.0, 15.0 * uniform())};
+    queries.push_back(q);
+  }
+  const std::vector<MarginOutlook> batched = margin_outlook(m, queries);
+  int crossing = 0;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const MarginOutlook want = reference_outlook(m, queries[i]);
+    const MarginOutlook solo = margin_outlook(m, queries[i]);
+    crossing += want.crosses ? 1 : 0;
+    EXPECT_EQ(solo.crosses, want.crosses) << "query " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(solo.time_to_margin.value()),
+              std::bit_cast<std::uint64_t>(want.time_to_margin.value()))
+        << "query " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(batched[i].time_to_margin.value()),
+              std::bit_cast<std::uint64_t>(want.time_to_margin.value()))
+        << "query " << i;
+  }
+  // The grid exercises both bisections, not only the censored exits.
+  EXPECT_GT(crossing, 100);
+  EXPECT_LT(crossing, 1400);
 }
 
 }  // namespace

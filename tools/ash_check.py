@@ -74,12 +74,12 @@ Semantic rules run over a self-contained declaration/call-graph parser:
       Every function reachable from a registered fatal-signal handler
       (`sa_handler = f`, `std::signal(SIG..., f)`) must be on the
       async-signal-safe allowlist: the POSIX AS-safe syscall set plus the
-      pinned, separately-audited project functions
-      (obs::FlightRecorder::record / write_fd — byte-identity and
-      torn-dump tests own their safety proof).  Reaching `malloc`, any
-      iostream, a mutex, `throw` or `new` on that path is a finding: a
-      handler that allocates can deadlock on the heap lock of the very
-      thread it interrupted.
+      pinned, separately-audited project function
+      obs::FlightRecorder::record (lock-free atomic_ref stores into a
+      pre-mapped ring; its own tests own the safety proof).  Reaching
+      `malloc`, any iostream, a mutex, `throw` or `new` on that path is a
+      finding: a handler that allocates can deadlock on the heap lock of
+      the very thread it interrupted.
 
   shard-purity
       A lambda handed to `util::ThreadPool::parallel_for` (and the
@@ -838,15 +838,16 @@ def check_metric_name(sf, report) -> None:
 # Checker: signal-safety
 # ---------------------------------------------------------------------------
 
-# The POSIX async-signal-safe set the tree is allowed to lean on, plus
-# project functions whose AS-safety is pinned by their own tests:
-# FlightRecorder::record (atomics + fixed slots) and write_fd (write(2)
-# into a stack buffer, byte-identical to serialize() by test).
+# The POSIX async-signal-safe set the tree is allowed to lean on, plus the
+# one project function whose AS-safety is pinned by its own tests:
+# FlightRecorder::record (a relaxed fetch_add and std::atomic_ref stores
+# into slots mapped before any handler is installed; no allocation, no
+# lock, no syscall but clock_gettime).
 AS_SAFE_CALLS = frozenset("""
     open close read write rename unlink fsync fdatasync raise kill _exit
     _Exit abort sigaction sigemptyset sigfillset sigaddset sigdelset
     sigprocmask signal waitpid getpid gettid dup dup2 pipe poll lseek
-    record write_fd
+    record
 """.split())
 
 AS_UNSAFE_CALLS = {

@@ -19,9 +19,12 @@
 ///     rejuvenation query has durable shard snapshots to rank.  SIGTERM
 ///     drains gracefully (final durable state snapshot); SIGKILL is safe —
 ///     the next start resumes from the newest snapshot that verifies.
-///     --flight keeps a crash-safe flight recorder that persists across
-///     kills; --profile turns on kernel profiling (served by the profile
-///     scrape); --trace streams request-path spans as JSONL.
+///     --flight keeps the flight recorder's ring in FILE itself (a shared
+///     mapping, truncated at start): each event is in the file as it is
+///     recorded, survives SIGKILL and fatal signals, and is synced to disk
+///     at every snapshot and at drain; --profile turns on kernel profiling
+///     (served by the profile scrape); --trace streams request-path spans
+///     as JSONL.
 ///
 ///   ash_fleetd query --socket PATH (ping|status|margin|rejuvenation|sleep)
 ///              [--device N] [--duty F] [--vdd F] [--temp F] [--horizon-h F]
@@ -40,8 +43,8 @@
 ///     object (health + metrics + profile).
 ///
 ///   ash_fleetd flight --file PATH
-///     Load and render a flight-recorder dump (tolerates torn tails from
-///     SIGKILLed daemons — everything before the tear is shown).
+///     Load and render a flight-recorder ring, a live daemon's or a dead
+///     one's (slots a kill caught mid-write, or corrupt ones, are skipped).
 ///
 ///   ash_fleetd drill --dir DIR [--requests N] [--devices N] [--shards N]
 ///              [--stages N] [--seed N] [--chaos protocol] [--quiet]
